@@ -2,9 +2,9 @@
 
 Prints the projection table (paper: Rabbit best at 17.4x on 48 threads,
 BFS/LLP ~12x, SlashBurn omitted as sequential) and benchmarks the
-threaded Rabbit detection at several thread counts (wall time is
-GIL-bound — the point of benchmarking it is to confirm the lock-free
-path adds no pathological overhead as threads increase).
+interleave-scheduled Rabbit detection at several modelled thread counts
+(one OS thread — the point of benchmarking it is to confirm the
+lock-free path adds no pathological overhead as the window widens).
 """
 
 import pytest
@@ -26,7 +26,7 @@ def test_fig10_table_regenerates(table):
 
 
 @pytest.mark.parametrize("threads", [1, 4, 8])
-def test_fig10_bench_threaded_detection(benchmark, config, threads, table):
+def test_fig10_bench_interleaved_detection(benchmark, config, threads, table):
     g = prepared("ljournal", config).graph
     benchmark.pedantic(
         lambda: community_detection_par(g, num_threads=threads),

@@ -93,14 +93,13 @@ def _save_permutation(path: str, permutation) -> None:
     atomic_numpy_save(dest, lambda buf: np.save(buf, permutation))
 
 
-def _require_positive(args, *names: str) -> None:
-    """Reject non-positive worker counts (``--threads 0`` is never a
+def _require_positive(args, *flags: str) -> None:
+    """Reject non-positive worker counts (``--procs 0`` is never a
     sequential run, it is a typo) with a :class:`ReproError` so every
     command fails the same way: ``error: ...`` on stderr, exit code 2."""
-    for name in names:
-        value = getattr(args, name, None)
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value < 1:
-            flag = "--" + name.replace("_", "-")
             raise ReproError(f"{flag} must be >= 1, got {value}")
 
 
@@ -163,17 +162,15 @@ def _reorder_resilient(args, graph):
     policy = SupervisorPolicy(
         budgets=budgets,
         ladder=(
-            default_ladder(args.threads, num_procs=args.procs)
+            default_ladder(args.procs)
             if args.ladder is None
-            else parse_ladder(args.ladder, args.threads,
-                              num_procs=args.procs)
+            else parse_ladder(args.ladder, args.procs)
         ),
         checkpoint=checkpoint,
         seed=args.seed,
     )
     result, report = supervised_rabbit_order(
-        graph, policy=policy, num_threads=args.threads,
-        num_procs=args.procs,
+        graph, policy=policy, num_procs=args.procs
     )
     print(report.summary())
     return result
@@ -182,7 +179,7 @@ def _reorder_resilient(args, graph):
 def _cmd_reorder(args) -> int:
     from repro.order import get_algorithm
 
-    _require_positive(args, "threads", "procs")
+    _require_positive(args, "--procs")
     resilient = _resilience_flags(args)
     if (args.engine or resilient) and args.algorithm not in (
         "Rabbit", "RabbitDict"
@@ -242,7 +239,7 @@ def _cmd_resume(args) -> int:
     from repro.rabbit.order import rabbit_order, resolve_resume
     from repro.resilience import CheckpointConfig
 
-    _require_positive(args, "threads", "procs")
+    _require_positive(args, "--threads", "--procs")
     snap = resolve_resume(args.checkpoint)
     cfg = snap.config
     fingerprint = snap.meta.get("fingerprint", {})
@@ -261,12 +258,17 @@ def _cmd_resume(args) -> int:
         )
     if cfg.get("parallel", False):
         executor = cfg.get("executor")
+        if executor == "threads":
+            # Legacy snapshots from the retired real-thread executor: the
+            # snapshot state is executor-neutral, so they finish on the
+            # interleaving scheduler (seed 0, as they recorded none).
+            executor = "interleave"
         workers = args.procs if executor == "procs" else args.threads
         kwargs.update(
             parallel=True,
             executor=executor,
             num_threads=int(workers or cfg.get("num_threads", 4)),
-            scheduler_seed=cfg.get("scheduler_seed"),
+            scheduler_seed=int(cfg.get("scheduler_seed") or 0),
         )
     else:
         kwargs["engine"] = cfg.get("engine", "fast")
@@ -383,7 +385,7 @@ def _cmd_generate(args) -> int:
 def _cmd_stress(args) -> int:
     from repro.experiments.stress import run_chaos, run_procs_chaos, run_stress
 
-    _require_positive(args, "threads", "procs")
+    _require_positive(args, "--threads", "--procs")
     if args.seeds < 1:
         print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
         return 2
@@ -391,7 +393,7 @@ def _cmd_stress(args) -> int:
         print(
             "error: --executor procs runs the worker-kill chaos campaign; "
             "combine it with --chaos (the fault-plan sweep instruments the "
-            "thread and interleave executors)",
+            "interleave executor)",
             file=sys.stderr,
         )
         return 2
@@ -414,7 +416,6 @@ def _cmd_stress(args) -> int:
             num_seeds=args.seeds,
             num_threads=args.threads,
             quick=args.quick,
-            executor=args.executor,
         )
         print(report.table())
         return 0 if report.ok else 1
@@ -425,7 +426,6 @@ def _cmd_stress(args) -> int:
         num_seeds=args.seeds,
         num_threads=args.threads,
         quick=args.quick,
-        executor=args.executor,
         detect_races=args.races,
         engine=args.engine,
     )
@@ -644,10 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run under the supervisor with this RSS budget")
     p.add_argument("--ladder", metavar="SPEC",
                    help="supervisor degradation ladder, comma-separated "
-                        "rung names (default: par-procs,par-threads,"
-                        "par-interleave,fastseq,dict)")
-    p.add_argument("--threads", type=int, default=4,
-                   help="threads for supervised parallel rungs")
+                        "rung names (default: par-procs,fastseq,dict)")
     p.add_argument("--procs", type=int, default=None,
                    help="worker processes for the par-procs rung "
                         "(default 2)")
@@ -666,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="continue snapshotting into DIR (default: the "
                         "checkpoint's own directory)")
     p.add_argument("--threads", type=int, default=None,
-                   help="override the snapshot's thread count for "
-                        "parallel resumes")
+                   help="override the snapshot's modelled thread count "
+                        "(scheduler window) for interleave resumes")
     p.add_argument("--procs", type=int, default=None,
                    help="override the snapshot's worker-process count "
                         "for process-pool resumes")
@@ -716,11 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="modelled hardware threads (scheduler window)")
     p.add_argument("--procs", type=int, default=2,
                    help="worker processes for --executor procs")
-    p.add_argument("--executor", choices=["interleave", "threads", "procs"],
+    p.add_argument("--executor", choices=["interleave", "procs"],
                    default="interleave",
-                   help="deterministic interleaving scheduler, real "
-                        "threads, or (with --chaos) the shared-memory "
-                        "process pool")
+                   help="deterministic interleaving scheduler, or (with "
+                        "--chaos) the shared-memory process pool")
     p.add_argument("--races", action="store_true",
                    help="run the happens-before race detector on every cell")
     p.add_argument("--engine", choices=["fast", "dict"], default="fast",

@@ -6,10 +6,11 @@ sequential.  Rabbit tops out at 17.4x, BFS and LLP around 12x.
 
 Here the speedups are projected by the work–span model
 (:mod:`repro.parallel.costmodel`) from *measured* profiles.  For Rabbit
-the profile is re-measured at each probed thread count with real threads,
-so CAS-retry work observed under genuine interleaving shows up in the
-p-thread work term; the other algorithms have concurrency-independent
-work and reuse their single measured profile.
+the profile is re-measured at each probed thread count under the seeded
+interleaving scheduler with that many live tasks, so CAS-retry work
+caused by interleaving shows up in the p-thread work term; the other
+algorithms have concurrency-independent work and reuse their single
+measured profile.
 """
 
 from __future__ import annotations
@@ -59,26 +60,22 @@ def figure10(
         for alg in algorithms:
             if alg == "Rabbit":
                 base = rabbit_order_result(
-                    g, parallel=True, num_threads=1, deterministic=False
+                    g, parallel=True, num_threads=1, rng=config.seed
                 )
                 for p in threads:
-                    # Probe twice at (capped) real concurrency and average:
-                    # threaded runs are nondeterministic, and the span of
-                    # the resulting dendrogram varies run to run.
-                    speedups = []
-                    for _ in range(2):
-                        probe = rabbit_order_result(
-                            g,
-                            parallel=True,
-                            num_threads=min(p, 16),
-                            deterministic=False,
+                    # The probe measures contention with at most 16 live
+                    # tasks; the cost model projects it to p threads.
+                    probe = rabbit_order_result(
+                        g,
+                        parallel=True,
+                        num_threads=min(p, 16),
+                        rng=config.seed,
+                    )
+                    per_alg[alg][p].append(
+                        projected_speedup(
+                            probe.stats, base.stats, p, config.parallel_machine
                         )
-                        speedups.append(
-                            projected_speedup(
-                                probe.stats, base.stats, p, config.parallel_machine
-                            )
-                        )
-                    per_alg[alg][p].append(float(np.mean(speedups)))
+                    )
             else:
                 res = run_ordering(g, alg, seed=config.seed)
                 for p in threads:

@@ -178,7 +178,6 @@ def _run_cell(
     seed: int,
     num_threads: int,
     *,
-    executor: str = "interleave",
     detect_races: bool = False,
     engine: str = "fast",
 ) -> StressOutcome:
@@ -188,9 +187,7 @@ def _run_cell(
         res = community_detection_par(
             graph,
             num_threads=num_threads,
-            # "threads" hands the cell to real threads (not replayable);
-            # the seed then only parameterises the fault plan.
-            scheduler_seed=seed if executor == "interleave" else None,
+            scheduler_seed=seed,
             fault_plan=plan,
             audit=True,
             detect_races=detect_races,
@@ -238,25 +235,18 @@ def run_stress(
     num_threads: int = 4,
     cases: tuple[StressCase, ...] | None = None,
     quick: bool = False,
-    executor: str = "interleave",
     detect_races: bool = False,
     engine: str = "fast",
 ) -> StressReport:
     """Sweep ``cases`` × ``num_seeds`` scheduler seeds on one R-MAT graph.
 
     ``quick`` shrinks the sweep (3 seeds) for a CI smoke job; a full run
-    uses every seed for every case.  ``executor`` selects the
-    deterministic interleaving scheduler (replayable; the default) or
-    real threads.  ``detect_races=True`` runs the happens-before race
-    detector (:mod:`repro.check.races`) on every cell and fails any cell
-    whose report is not clean.  ``engine`` picks the aggregation-state
-    layout under test: the flat arena-backed ``"fast"`` engine (the
-    default) or the ``"dict"`` reference.
+    uses every seed for every case.  ``detect_races=True`` runs the
+    happens-before race detector (:mod:`repro.check.races`) on every cell
+    and fails any cell whose report is not clean.  ``engine`` picks the
+    aggregation-state layout under test: the flat arena-backed ``"fast"``
+    engine (the default) or the ``"dict"`` reference.
     """
-    if executor not in ("interleave", "threads"):
-        raise ReproError(
-            f"executor must be 'interleave' or 'threads', got {executor!r}"
-        )
     if engine not in ("fast", "dict"):
         raise ReproError(f"engine must be 'fast' or 'dict', got {engine!r}")
     if quick:
@@ -266,7 +256,7 @@ def run_stress(
         graph_desc=(
             f"R-MAT scale={scale} ({graph.num_vertices} vertices, "
             f"{graph.num_undirected_edges} edges), {num_seeds} seeds/case, "
-            f"executor={executor}, engine={engine}"
+            f"engine={engine}"
             + (", race detection on" if detect_races else "")
         )
     )
@@ -280,7 +270,6 @@ def run_stress(
                     case,
                     seed,
                     num_threads,
-                    executor=executor,
                     detect_races=detect_races,
                     engine=engine,
                 )
@@ -323,7 +312,6 @@ def _checkpointed_permutation(
     graph,
     *,
     engine: str,
-    executor: str,
     num_threads: int,
     seed: int,
     plan: FaultPlan | None,
@@ -345,7 +333,7 @@ def _checkpointed_permutation(
         res = community_detection_par(
             graph,
             num_threads=num_threads,
-            scheduler_seed=seed if executor == "interleave" else None,
+            scheduler_seed=seed,
             fault_plan=plan,
             audit=True,
             checkpoint=checkpoint,
@@ -391,9 +379,7 @@ def _chaos_child_main(spec_path: str) -> int:
         community_detection_par(
             graph,
             num_threads=int(spec["num_threads"]),
-            scheduler_seed=(
-                int(spec["seed"]) if spec["executor"] == "interleave" else None
-            ),
+            scheduler_seed=int(spec["seed"]),
             fault_plan=plan,
             checkpoint=checkpointer,
             engine=_par_engine(engine),
@@ -421,9 +407,6 @@ class ChaosOutcome:
     ok: bool
     #: progress of the newest checkpoint the killed child left behind
     resumed_from: int = 0
-    #: whether the resumed permutation was bit-compared to the baseline
-    #: (real multi-threaded runs are audit-validated instead)
-    compared: bool = False
     error: str | None = None
 
 
@@ -445,14 +428,13 @@ class ChaosReport:
     def table(self) -> str:
         header = (
             f"{'engine':<8} {'case':<10} {'seed':>5} {'resumed@':>9} "
-            f"{'compared':>9} {'ok':>4}"
+            f"{'ok':>4}"
         )
         lines = [f"chaos campaign on {self.graph_desc}", header,
                  "-" * len(header)]
         for o in self.outcomes:
             lines.append(
                 f"{o.engine:<8} {o.case:<10} {o.seed:>5} {o.resumed_from:>9} "
-                f"{'yes' if o.compared else 'audit':>9} "
                 f"{'ok' if o.ok else 'FAIL':>4}"
             )
         for o in self.failures:
@@ -480,15 +462,14 @@ def _run_chaos_cell(
     case: str,
     plan: FaultPlan | None,
     seed: int,
-    executor: str,
     num_threads: int,
     every: int,
     resume_engine: str | None = None,
 ) -> ChaosOutcome:
     """One chaos cell.  ``resume_engine`` (the ``cross`` case) resumes
     the killed child's checkpoint under a *different* aggregation-state
-    engine — the snapshot wire format is engine-neutral, and replayable
-    executions must land on the baseline permutation either way."""
+    engine — the snapshot wire format is engine-neutral, and the resumed
+    run must land on the baseline permutation either way."""
     import repro
     from repro.resilience.checkpoint import latest_checkpoint
 
@@ -501,7 +482,6 @@ def _run_chaos_cell(
         baseline = _checkpointed_permutation(
             graph,
             engine=engine,
-            executor=executor,
             num_threads=num_threads,
             seed=seed,
             plan=plan,
@@ -511,7 +491,6 @@ def _run_chaos_cell(
         spec = {
             "graph": str(graph_path),
             "engine": engine,
-            "executor": executor,
             "num_threads": num_threads,
             "seed": seed,
             "plan": None if plan is None else plan.__dict__,
@@ -546,7 +525,6 @@ def _run_chaos_cell(
         resumed = _checkpointed_permutation(
             graph,
             engine=resume_engine or engine,
-            executor=executor,
             num_threads=num_threads,
             seed=seed,
             plan=plan,
@@ -555,10 +533,7 @@ def _run_chaos_cell(
             resume=found[1],
         )
         validate_permutation(resumed, graph.num_vertices)
-        # Real multi-threaded schedules are nondeterministic, so resumed
-        # runs are audit-validated above rather than bit-compared.
-        outcome.compared = executor == "interleave" or num_threads == 1
-        if outcome.compared and not np.array_equal(resumed, baseline):
+        if not np.array_equal(resumed, baseline):
             raise ReproError(
                 "resumed permutation differs from the uninterrupted run"
             )
@@ -581,7 +556,6 @@ def run_chaos(
     num_seeds: int = 5,
     num_threads: int = 4,
     quick: bool = False,
-    executor: str = "interleave",
     engines: tuple[str, ...] | None = None,
 ) -> ChaosReport:
     """SIGKILL-and-resume campaign over engines × seeds.
@@ -590,22 +564,17 @@ def run_chaos(
     baseline); (2) run the identical configuration in a *subprocess*
     whose checkpointer SIGKILLs it mid-detection; (3) resume in-process
     from the newest snapshot the corpse left behind and require the
-    finished permutation to be valid — and, for replayable executions
-    (the interleaving scheduler, or one real thread), bit-identical to
-    the baseline.  Parallel engines come in both state layouts —
-    ``par`` (flat fastpar arrays, the default everywhere) and
-    ``par-dict`` (the reference) — and additionally run a ``cross`` case
-    that resumes the killed run under the *other* layout, pinning the
-    engine-neutral snapshot format.  ``par`` cells also run a
-    ``faulted`` case where the kill is composed with
-    :data:`CHAOS_KILL_PLAN` injection.
+    finished permutation to be valid and bit-identical to the baseline
+    (parallel cells run the replayable interleaving scheduler).  Parallel
+    engines come in both state layouts — ``par`` (flat fastpar arrays, the
+    default everywhere) and ``par-dict`` (the reference) — and
+    additionally run a ``cross`` case that resumes the killed run under
+    the *other* layout, pinning the engine-neutral snapshot format.
+    ``par`` cells also run a ``faulted`` case where the kill is composed
+    with :data:`CHAOS_KILL_PLAN` injection.
     """
     from repro.graph.npz import save_npz
 
-    if executor not in ("interleave", "threads"):
-        raise ReproError(
-            f"executor must be 'interleave' or 'threads', got {executor!r}"
-        )
     if engines is None:
         engines = (
             ("par", "fast")
@@ -620,7 +589,7 @@ def run_chaos(
         graph_desc=(
             f"R-MAT scale={scale} ({graph.num_vertices} vertices, "
             f"{graph.num_undirected_edges} edges), {num_seeds} seeds, "
-            f"executor={executor}, engines={'/'.join(engines)}"
+            f"engines={'/'.join(engines)}"
         )
     )
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
@@ -644,7 +613,6 @@ def run_chaos(
                             case=case,
                             plan=plan,
                             seed=seed,
-                            executor=executor,
                             num_threads=num_threads,
                             every=every,
                             resume_engine=resume_engine,

@@ -1,7 +1,7 @@
-"""Scaling bench suite: fastpar executors × worker counts.
+"""Scaling bench suite: the process executor × worker counts.
 
 One cell per engine configuration — the two sequential engines plus the
-thread and process executors at 1/2/4/8 workers — all reordering the
+process executor at 1/2/4/8 workers — all reordering the
 *largest* bench graph (R-MAT scale 13, edge factor 8; an order of
 magnitude beyond the ``core`` suite's graphs).  The committed
 ``BENCH_scale.json`` is the scaling record the ROADMAP's "parallel
@@ -20,10 +20,9 @@ is always interpreted against the machine that produced it, and
 cross-machine comparisons use the generous tolerance the CI gate passes
 explicitly.
 
-Correctness is gated alongside speed: the deterministic configurations
-(both sequential engines and every ``procs-wN`` cell) must reproduce the
-flat sequential oracle's permutation bit-for-bit; thread cells — real
-preemption, nondeterministic schedules — are validated as permutations.
+Correctness is gated alongside speed: every cell (the dict engine and
+each ``procs-wN`` cell) must reproduce the flat sequential oracle's
+permutation bit-for-bit.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.rabbit.order import rabbit_order
 
 __all__ = ["run_scale_suite", "WORKER_COUNTS", "SCALE_GRAPH"]
 
-#: Worker counts probed per parallel executor.
+#: Worker counts probed for the process executor.
 WORKER_COUNTS = (1, 2, 4, 8)
 
 #: The largest bench graph: R-MAT scale 13, edge factor 8 (~8k vertices,
@@ -62,11 +61,6 @@ def _configs() -> list[tuple[str, dict[str, Any]]]:
         ("fastseq", dict(engine="fast")),
         ("seq-dict", dict(engine="dict")),
     ]
-    for w in WORKER_COUNTS:
-        configs.append(
-            (f"threads-w{w}",
-             dict(parallel=True, executor="threads", num_threads=w))
-        )
     for w in WORKER_COUNTS:
         configs.append(
             (f"procs-w{w}",
@@ -99,9 +93,9 @@ def run_scale_suite(repeats: int = 1) -> list[dict[str, Any]]:
         validate_permutation(perm, graph.num_vertices)
         if ordering == "fastseq":
             oracle = perm
-        elif ordering == "seq-dict" or ordering.startswith("procs"):
-            # Deterministic configurations are also the equivalence gate:
-            # a scaling win that changes the answer is not a win.
+        else:
+            # Every cell is also the equivalence gate: a scaling win that
+            # changes the answer is not a win.
             assert oracle is not None
             if not np.array_equal(perm, oracle):
                 raise ReproError(
@@ -112,15 +106,8 @@ def run_scale_suite(repeats: int = 1) -> list[dict[str, Any]]:
         locality = {
             "bandwidth": float(bandwidth(permuted)),
             "block_density_64": float(diagonal_block_density(permuted, 64)),
+            "average_neighbor_gap": float(average_neighbor_gap(permuted)),
         }
-        # Real-thread schedules (beyond one worker) are nondeterministic,
-        # so their permutation — and hence the gap metric the compare
-        # gate judges at a tight tolerance — varies run to run; only
-        # deterministic cells commit it.
-        if not (ordering.startswith("threads") and not ordering.endswith("-w1")):
-            locality["average_neighbor_gap"] = float(
-                average_neighbor_gap(permuted)
-            )
         t1 = time.perf_counter()
         ANALYSES["pagerank"](permuted)
         pagerank_s = time.perf_counter() - t1

@@ -17,12 +17,7 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultyAtomicPairArray,
 )
-from repro.parallel.scheduler import (
-    InterleavingScheduler,
-    ThreadedRunner,
-    drive,
-    run_tasks,
-)
+from repro.parallel.scheduler import InterleavingScheduler, drive
 
 __all__ = [
     "INVALID_DEGREE",
@@ -34,9 +29,7 @@ __all__ = [
     "FaultPlan",
     "FaultyAtomicPairArray",
     "InterleavingScheduler",
-    "ThreadedRunner",
     "drive",
-    "run_tasks",
     "ParallelMachine",
     "projected_time",
     "projected_speedup",

@@ -248,7 +248,13 @@ def _pool_worker_main(worker_factory, init_arg, task_r, result_w, beat_w):
     Runs in the child.  Must never touch the parent's metrics registry or
     resilience runtime (both were inherited across fork); the pipes are
     the only channels.
+
+    A worker exits on its own once its parent is gone.  Pipe EOF/EPIPE
+    cannot signal that: every later forked sibling inherits the parent's
+    ends of this worker's pipes, so they stay open while any sibling
+    lives.  The idle loop therefore watches for re-parenting instead.
     """
+    parent = os.getppid()
 
     def beat() -> None:
         try:
@@ -278,6 +284,8 @@ def _pool_worker_main(worker_factory, init_arg, task_r, result_w, beat_w):
                 else:
                     result_w.send(("ok", task_id, value))
                 beat()
+            elif os.getppid() != parent:  # orphaned: the parent died
+                os._exit(0)
             else:
                 beat()
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):

@@ -12,7 +12,6 @@ from repro.rabbit.dynamic import DynamicReorderer, ReorderEvent
 from repro.rabbit.eager import community_detection_eager
 from repro.rabbit.order import (
     RabbitResult,
-    ordering_generation_par,
     ordering_generation_seq,
     rabbit_order,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ReorderEvent",
     "ParallelDetectionResult",
     "ordering_generation_seq",
-    "ordering_generation_par",
     "AuditReport",
     "audit_dendrogram",
 ]

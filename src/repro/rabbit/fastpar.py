@@ -19,10 +19,9 @@ therefore gives every worker task its **own** append-only shard:
 
 * Global ``shard_of``/``offset``/``length`` arrays address each vertex's
   entry; ``length[v] != NOT_STORED`` publishes it.
-* Only the owning task appends to (or regrows) its shard.  Both
-  executors guarantee single ownership: the interleaving scheduler is
-  one OS thread, and :class:`~repro.parallel.scheduler.ThreadedRunner`
-  drives each task generator on exactly one thread at a time.
+* Only the owning task appends to (or regrows) its shard.  The
+  interleaving scheduler guarantees single ownership: it advances each
+  task generator on one OS thread, one step at a time.
 * A regrow copies the committed prefix into fresh arrays and *then*
   swaps the references, so a concurrent reader sees either array — both
   hold the committed bytes (CPython reference assignment is atomic).

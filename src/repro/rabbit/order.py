@@ -16,9 +16,7 @@ from pathlib import Path
 from repro.community.dendrogram import Dendrogram
 from repro.errors import CheckpointError
 from repro.graph.csr import CSRGraph
-from repro.graph.perm import permutation_from_order
 from repro.obs.trace import span
-from repro.parallel.scheduler import ThreadedRunner
 from repro.rabbit.common import RabbitStats
 from repro.rabbit.par import ParallelDetectionResult, community_detection_par
 from repro.rabbit.seq import community_detection_seq
@@ -32,7 +30,6 @@ __all__ = [
     "RabbitResult",
     "rabbit_order",
     "ordering_generation_seq",
-    "ordering_generation_par",
     "resolve_resume",
 ]
 
@@ -75,39 +72,12 @@ def ordering_generation_seq(dendrogram: Dendrogram) -> np.ndarray:
     return dendrogram.ordering()
 
 
-def ordering_generation_par(
-    dendrogram: Dendrogram, num_threads: int = 4
-) -> np.ndarray:
-    """Parallel ordering generation (§III-C2).
-
-    Step 1 collects the top-level vertices, step 2 runs an independent DFS
-    per top level producing local orderings, step 3 concatenates them at
-    prefix-sum offsets.  The result is bit-identical to the sequential DFS
-    because the per-root DFS and the concatenation order are the same.
-    """
-    roots = dendrogram.toplevel
-    locals_: list[np.ndarray | None] = [None] * roots.size
-
-    def dfs_task(i: int, root: int):
-        locals_[i] = dendrogram._dfs_single(root)
-        return
-        yield  # pragma: no cover - makes this function a generator
-
-    ThreadedRunner(num_threads).run(
-        dfs_task(i, int(r)) for i, r in enumerate(roots)
-    )
-    if not roots.size:
-        return np.empty(0, dtype=np.int64)
-    visit = np.concatenate([lo for lo in locals_ if lo is not None])
-    return permutation_from_order(visit)
-
-
 def rabbit_order(
     graph: CSRGraph,
     *,
     parallel: bool = False,
     num_threads: int = 4,
-    scheduler_seed: int | None = None,
+    scheduler_seed: int = 0,
     merge_threshold: float = 0.0,
     collect_vertex_work: bool = False,
     fault_plan=None,
@@ -115,33 +85,33 @@ def rabbit_order(
     engine: str = "fast",
     checkpoint=None,
     resume: "Snapshot | str | Path | None" = None,
-    executor: str | None = None,
+    executor: str = "interleave",
 ) -> RabbitResult:
     """Compute the Rabbit Order permutation of *graph*.
 
     Parameters
     ----------
     parallel:
-        use the lock-free parallel detection (Algorithm 3) and parallel
-        ordering generation; otherwise the sequential variants.
+        use the lock-free parallel detection (Algorithm 3); otherwise the
+        sequential variant.  Ordering generation is the same DFS either
+        way.
     num_threads:
-        threads for the parallel variant (worker processes when
-        ``executor="procs"``).
+        modelled threads for the interleave executor (worker processes
+        when ``executor="procs"``).
     executor:
-        when *parallel*, the explicit executor: ``"procs"`` (supervised
-        shared-memory process pool), ``"threads"``, ``"interleave"``, or
-        ``None`` to infer from ``scheduler_seed``.
+        when *parallel*: ``"interleave"`` (the default, the seeded
+        replayable model of Algorithm 3) or ``"procs"`` (supervised
+        shared-memory process pool).
     engine:
         detection state engine: ``"fast"`` (vectorised flat-array
         aggregation, the default) or ``"dict"`` (the reference per-edge
         implementation).  Both are bit-identical.  Applies to the
-        sequential path *and* the parallel thread/interleave executors
-        (the ``"procs"`` executor always runs the flat shared-memory
-        layout and accepts either value).
+        sequential path *and* the parallel interleave executor (the
+        ``"procs"`` executor always runs the flat shared-memory layout and
+        accepts either value).
     scheduler_seed:
-        when *parallel*, run detection under the deterministic
-        interleaving scheduler with this seed (replayable) instead of
-        real threads.
+        when *parallel* on the interleave executor, the schedule's seed;
+        the same seed returns the same permutation.
     merge_threshold:
         minimum ΔQ required to merge (paper: 0).
     fault_plan:
@@ -183,7 +153,7 @@ def rabbit_order(
                 engine=engine,
             )
         with span("rabbit.ordering", parallel=True):
-            perm = ordering_generation_par(result.dendrogram, num_threads)
+            perm = result.dendrogram.ordering()
         return RabbitResult(
             permutation=perm,
             dendrogram=result.dendrogram,

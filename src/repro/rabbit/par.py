@@ -1,14 +1,13 @@
 """Parallel Rabbit Order community detection (Algorithm 3).
 
 The worker logic is one generator per vertex chunk; yields mark the
-scheduling points that bracket atomic operations, so the same code runs
-
-* under :class:`~repro.parallel.scheduler.InterleavingScheduler` —
-  deterministic, seed-replayable exploration of interleavings (tests), and
-* under :class:`~repro.parallel.scheduler.ThreadedRunner` — real threads
-  with sharded-lock atomics (conflicts genuinely occur; CPython's GIL
-  caps throughput, which is why scalability is *projected* from the
-  contention counters by :mod:`repro.parallel.costmodel`).
+scheduling points that bracket atomic operations, and
+:class:`~repro.parallel.scheduler.InterleavingScheduler` drives the
+chunks through a deterministic, seed-replayable interleaving (the
+window of live tasks models the thread count).  Scalability is
+*projected* from the contention counters by
+:mod:`repro.parallel.costmodel`; real multicore execution is the
+process pool's (``executor="procs"``, :mod:`repro.rabbit.parproc`).
 
 Faithfulness notes relative to the paper's pseudocode:
 
@@ -24,9 +23,9 @@ Faithfulness notes relative to the paper's pseudocode:
   mutually-retrying vertices, a case the paper leaves unspecified.
 
 Fault tolerance (beyond the paper): with a
-:class:`~repro.parallel.faults.FaultPlan`, the executors may stall or
+:class:`~repro.parallel.faults.FaultPlan`, the scheduler may stall or
 *crash* workers and the atomics may lie (forced CAS failures, spurious
-invalidation windows).  After the executors return, a recovery pass
+invalidation windows).  After the scheduler returns, a recovery pass
 repairs the shared state a dead worker left behind — committed CAS merges
 whose ``dest`` write never landed, dangling pre-CAS ``sibling`` writes,
 vertices stranded in the invalidated state — and drives the residual
@@ -56,7 +55,7 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultyAtomicPairArray,
 )
-from repro.parallel.scheduler import InterleavingScheduler, ThreadedRunner, drive
+from repro.parallel.scheduler import InterleavingScheduler, drive
 from repro.rabbit.audit import AuditReport, audit_dendrogram
 from repro.rabbit.common import AggregationState, RabbitStats
 from repro.rabbit.fastpar import FlatAggregationState, ShardedAdjacency
@@ -348,7 +347,7 @@ def community_detection_par(
     graph: CSRGraph,
     *,
     num_threads: int = 4,
-    scheduler_seed: int | None = None,
+    scheduler_seed: int = 0,
     chunk_size: int | None = None,
     merge_threshold: float = 0.0,
     max_attempts: int = 100,
@@ -358,7 +357,7 @@ def community_detection_par(
     detect_races: bool = False,
     checkpoint=None,
     resume: Snapshot | None = None,
-    executor: str | None = None,
+    executor: str = "interleave",
     engine: str = "fast",
 ) -> ParallelDetectionResult:
     """Parallel incremental aggregation (Algorithm 3).
@@ -366,8 +365,8 @@ def community_detection_par(
     Parameters
     ----------
     num_threads:
-        worker threads for the real-thread executor (worker *processes*
-        for ``executor="procs"``).
+        modelled hardware threads: the interleaving scheduler's window of
+        live tasks (worker *processes* for ``executor="procs"``).
     engine:
         aggregation-state layout: ``"fast"`` (default) runs the workers
         on the flat-array :class:`~repro.rabbit.fastpar.FlatAggregationState`
@@ -378,17 +377,15 @@ def community_detection_par(
         engine-independent).  The procs executor is always flat-array
         (its shared-memory layout); it accepts either value.
     scheduler_seed:
-        if not ``None``, run under the deterministic interleaving
-        scheduler instead of real threads (single OS thread, replayable).
+        seed of the interleaving scheduler's schedule; the same seed
+        replays the same run.
     executor:
-        explicit executor choice: ``"procs"`` (supervised shared-memory
-        process pool, :mod:`repro.rabbit.parproc`), ``"threads"``,
-        ``"interleave"``, or ``None`` to infer from ``scheduler_seed``
-        (the legacy convention: a seed selects the interleaver).  The
-        procs executor supports neither ``fault_plan`` nor
-        ``detect_races`` — it raises :class:`~repro.errors.ReproError`
-        so the supervisor's ladder degrades to the thread rung, whose
-        CAS protocol those facilities instrument.
+        ``"interleave"`` (the default: the seeded interleaving scheduler
+        on one OS thread) or ``"procs"`` (supervised shared-memory
+        process pool, :mod:`repro.rabbit.parproc`).  The procs executor
+        supports neither ``fault_plan`` nor ``detect_races`` — it raises
+        :class:`~repro.errors.ReproError`, because those facilities
+        instrument the CAS protocol the interleaving executor models.
     chunk_size:
         vertices per worker task; defaults to an even split into
         ``4 * num_threads`` chunks (dynamic scheduling smooths imbalance).
@@ -396,7 +393,7 @@ def community_detection_par(
         inject faults from this seed-replayable plan (forced CAS
         failures, spurious invalidation windows, worker stalls/crashes)
         and run crash recovery afterwards.  ``None`` (the default) uses
-        the unfaulted atomics and executors — the hot path is untouched.
+        the unfaulted atomics and scheduler — the hot path is untouched.
     audit:
         run the post-run integrity auditor
         (:func:`repro.rabbit.audit.audit_dendrogram`) and raise
@@ -405,27 +402,26 @@ def community_detection_par(
         trace every shared-memory access of the aggregation phase and
         run the happens-before race detector
         (:mod:`repro.check.races`) over the log; the verdict is attached
-        as ``result.race_report``.  Works under both executors.  The
+        as ``result.race_report``.  Interleave executor only.  The
         hot path is untouched when off (a single predictable ``None``
         test per atomic operation).
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` or
         :class:`~repro.resilience.checkpoint.Checkpointer`: run the
-        round-based driver that quiesces the executors every ~``every``
+        round-based driver that quiesces the scheduler every ~``every``
         decided vertices and snapshots the shared state.  Incompatible
         with ``detect_races`` (the tracing proxies cannot cross a
         quiescence boundary).
     resume:
         a :class:`~repro.resilience.checkpoint.Snapshot` (from any
-        engine) to restore and continue from.  With the deterministic
-        interleaving executor — or one real thread — the completed run is
+        engine) to restore and continue from.  The completed run is
         bit-identical to an uninterrupted run in the same checkpointed
-        mode.
+        mode.  The snapshot's own executor does not matter: snapshots
+        written under any executor resume on the one chosen here.
     """
-    if executor not in (None, "procs", "threads", "interleave"):
+    if executor not in ("interleave", "procs"):
         raise ReproError(
-            f"executor must be 'procs', 'threads', 'interleave' or None, "
-            f"got {executor!r}"
+            f"executor must be 'interleave' or 'procs', got {executor!r}"
         )
     if engine not in ("fast", "dict"):
         raise ReproError(f"engine must be 'fast' or 'dict', got {engine!r}")
@@ -433,7 +429,7 @@ def community_detection_par(
         if fault_plan is not None or detect_races:
             raise ReproError(
                 "the process-pool executor supports neither fault_plan nor "
-                "detect_races; use the thread or interleave executors"
+                "detect_races; use the interleave executor"
             )
         from repro.rabbit.parproc import community_detection_procs
 
@@ -446,10 +442,6 @@ def community_detection_par(
             checkpoint=checkpoint,
             resume=resume,
         )
-    if executor == "interleave" and scheduler_seed is None:
-        scheduler_seed = 0
-    elif executor == "threads":
-        scheduler_seed = None
     require_symmetric(graph, "Rabbit Order")
     n = graph.num_vertices
     if checkpoint is not None or resume is not None:
@@ -571,16 +563,12 @@ def community_detection_par(
         n=n,
         workers=len(chunks),
         threads=num_threads,
-        deterministic=scheduler_seed is not None,
     ):
-        if scheduler_seed is not None:
-            # Window = thread count: the scheduler models num_threads hardware
-            # threads, each advancing one task, admitted in degree order.
-            InterleavingScheduler(seed=scheduler_seed, faults=injector).run(
-                tasks, window=num_threads
-            )
-        else:
-            ThreadedRunner(num_threads, faults=injector).run(tasks)
+        # Window = thread count: the scheduler models num_threads hardware
+        # threads, each advancing one task, admitted in degree order.
+        InterleavingScheduler(seed=scheduler_seed, faults=injector).run(
+            tasks, window=num_threads
+        )
 
     race_report = None
     if race_log is not None:
@@ -667,7 +655,7 @@ def _detect_par_checkpointed(
     graph: CSRGraph,
     *,
     num_threads: int,
-    scheduler_seed: int | None,
+    scheduler_seed: int,
     chunk_size: int | None,
     merge_threshold: float,
     max_attempts: int,
@@ -680,8 +668,8 @@ def _detect_par_checkpointed(
 ) -> ParallelDetectionResult:
     """Round-based parallel detection with checkpoint/resume.
 
-    The executors cannot be snapshotted mid-flight (generator frames and
-    OS threads are not serialisable), so the checkpointed driver runs the
+    The scheduler cannot be snapshotted mid-flight (generator frames are
+    not serialisable), so the checkpointed driver runs the
     chunk list in *rounds* of ``ceil(every / chunk_size)`` chunks and
     snapshots at each round boundary, when every worker has quiesced and
     the shared state is exactly the engine-agnostic aggregation state.
@@ -690,9 +678,7 @@ def _detect_par_checkpointed(
     fault injector are reseeded at every round boundary with
     ``derive_seed(base_seed, chunks_done)``, so the schedule of round *k*
     depends only on the boundary position — a resumed run replays the
-    exact rounds the uninterrupted run would have executed.  (Real
-    threads are nondeterministic beyond one thread; resumed runs there
-    are valid and auditable rather than bit-identical.)
+    exact rounds the uninterrupted run would have executed.
 
     Under fault injection, crash recovery runs after *every* round (with
     the orphan scan masked to admitted vertices), so each snapshot is a
@@ -778,7 +764,7 @@ def _detect_par_checkpointed(
         config = {
             "engine": "par",
             "par_engine": engine,
-            "executor": "interleave" if scheduler_seed is not None else "threads",
+            "executor": "interleave",
             "num_threads": int(num_threads),
             "scheduler_seed": scheduler_seed,
             "chunk_size": int(chunk_size),
@@ -795,7 +781,6 @@ def _detect_par_checkpointed(
         n=n,
         workers=len(rem_chunks),
         threads=num_threads,
-        deterministic=scheduler_seed is not None,
     ):
         next_round = 0
         while next_round < len(rem_chunks):
@@ -821,13 +806,10 @@ def _detect_par_checkpointed(
             if injector is not None:
                 injector.reseed(derive_seed(fault_plan.seed, chunks_done))
                 injector.enable()
-            if scheduler_seed is not None:
-                InterleavingScheduler(
-                    seed=derive_seed(scheduler_seed, chunks_done),
-                    faults=injector,
-                ).run(tasks, window=num_threads)
-            else:
-                ThreadedRunner(num_threads, faults=injector).run(tasks)
+            InterleavingScheduler(
+                seed=derive_seed(scheduler_seed, chunks_done),
+                faults=injector,
+            ).run(tasks, window=num_threads)
             next_round += len(round_slice)
             chunks_done += len(round_slice)
             pos = min(pos + sum(int(c.size) for c in round_slice), n)

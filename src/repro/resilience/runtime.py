@@ -20,8 +20,8 @@ therefore still registers as a stall — which is exactly the livelock
 signature the watchdog exists to catch.
 
 Cancellation is delivered at the next heartbeat on *every* thread that
-beats, so all :class:`~repro.parallel.scheduler.ThreadedRunner` workers
-unwind promptly once the watchdog cancels.
+beats (the detection loop, the process pool's supervision loop), so a
+cancelled attempt unwinds promptly wherever it is running.
 """
 
 from __future__ import annotations

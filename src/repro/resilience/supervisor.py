@@ -18,14 +18,15 @@ thread polls three signals every ``poll_interval_s``:
   stall (the livelock signature — retries beat zero units).
 
 A tripped budget cancels the attempt *cooperatively*: the watchdog can
-only deliver the abort at the engine's next heartbeat.  An engine stuck
-outside Python (or a wedged executor join) is the province of
-:class:`~repro.parallel.scheduler.ThreadedRunner`'s ``join_timeout`` /
-:class:`~repro.errors.LivelockError`, which the supervisor treats as an
-ordinary failed attempt.
+only deliver the abort at the engine's next heartbeat.  A wedged pool
+worker is the process pool's own business (heartbeat timeouts, SIGKILL,
+lease reclaim; :mod:`repro.parallel.procpool`), and a retry livelock
+under the interleaving scheduler raises
+:class:`~repro.errors.LivelockError`; the supervisor treats either
+failure as an ordinary failed attempt.
 
 Failed attempts degrade down the ladder (default
-``par(threads) → par(interleave) → fastseq → dict``) with capped
+``par-procs → fastseq → dict``) with capped
 exponential backoff and deterministic seeded jitter between attempts.
 When the policy carries a checkpoint directory, every attempt resumes
 from the newest loadable checkpoint — work done by an aborted rung is
@@ -407,33 +408,24 @@ def supervised_rabbit_order(
     graph,
     *,
     policy: SupervisorPolicy | None = None,
-    num_threads: int = 4,
     num_procs: int | None = None,
-    scheduler_seed: int | None = None,
     merge_threshold: float = 0.0,
     collect_vertex_work: bool = False,
-    fault_plan=None,
     audit: bool = False,
 ):
     """Supervised :func:`~repro.rabbit.order.rabbit_order`.
 
-    Maps each ladder rung onto the entry point's engine knobs —
-    parallel rungs pick the executor (the shared-memory process pool,
-    real threads, or the deterministic interleaving scheduler) plus the
-    aggregation-state engine, sequential rungs pick the engine — and, when
-    the policy carries a checkpoint directory, threads
-    ``checkpoint=``/``resume=`` through every attempt so a degraded rung
-    continues from the aborted rung's last snapshot instead of starting
-    over.
+    Maps each ladder rung onto the entry point's engine knobs — the
+    parallel rung runs the shared-memory process pool, sequential rungs
+    pick the engine — and, when the policy carries a checkpoint
+    directory, threads ``checkpoint=``/``resume=`` through every attempt
+    so a degraded rung continues from the aborted rung's last snapshot
+    instead of starting over.
 
     ``num_procs`` sizes the ``par-procs`` rung's worker pool (default:
     the detected host's physical cores, via
     :meth:`~repro.parallel.costmodel.ParallelMachine.detect`, when
-    neither the rung nor the caller says otherwise).  The procs
-    executor rejects ``fault_plan`` with a
-    :class:`~repro.errors.ReproError`, which the ladder treats as an
-    ordinary failed attempt — fault-injected runs degrade straight to
-    the thread rung, whose CAS protocol the injector instruments.
+    neither the rung nor the caller says otherwise).
 
     Returns ``(RabbitResult, RunReport)``.
     """
@@ -458,29 +450,17 @@ def supervised_rabbit_order(
             resume=resume,
         )
         if rung.parallel:
-            interleave = rung.executor == "interleave"
-            seed = (
-                scheduler_seed
-                if scheduler_seed is not None
-                else policy.seed
+            workers = (
+                rung.num_procs
+                or num_procs
+                or ParallelMachine.detect().physical_cores
             )
-            if rung.executor == "procs":
-                workers = (
-                    rung.num_threads
-                    or num_procs
-                    or ParallelMachine.detect().physical_cores
-                )
-            else:
-                workers = rung.num_threads or num_threads
             return rabbit_order(
                 graph,
                 parallel=True,
-                executor=rung.executor,
+                executor="procs",
                 num_threads=workers,
-                scheduler_seed=seed if interleave else None,
-                fault_plan=fault_plan,
                 audit=audit,
-                engine=rung.engine,
                 **common,
             )
         return rabbit_order(graph, engine=rung.engine, audit=audit, **common)

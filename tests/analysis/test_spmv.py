@@ -75,64 +75,3 @@ class TestSpmv:
         xp = apply_permutation_to_values(perm, x)
         yp = spmv(gp, xp)
         assert np.allclose(yp, apply_permutation_to_values(perm, y))
-
-
-class TestBlockedSpmv:
-    def test_matches_reference(self, paper_graph):
-        import numpy as np
-
-        from repro.analysis import spmv, spmv_blocked
-
-        x = np.linspace(0, 1, paper_graph.num_vertices)
-        for nb in (1, 2, 5, 100):
-            assert np.allclose(
-                spmv_blocked(paper_graph, x, num_blocks=nb), spmv(paper_graph, x)
-            )
-
-    def test_threaded_matches(self, paper_graph):
-        import numpy as np
-
-        from repro.analysis import spmv, spmv_blocked
-
-        x = np.arange(paper_graph.num_vertices, dtype=np.float64)
-        assert np.allclose(
-            spmv_blocked(paper_graph, x, num_blocks=4, num_threads=4),
-            spmv(paper_graph, x),
-        )
-
-    def test_row_blocks_cover_and_balance(self):
-        import numpy as np
-
-        from repro.analysis import row_blocks
-        from repro.graph.generators import barabasi_albert_graph
-
-        g = barabasi_albert_graph(300, 4, rng=0)
-        blocks = row_blocks(g, 6)
-        assert blocks[0][0] == 0 and blocks[-1][1] == g.num_vertices
-        for (a, b), (c, d) in zip(blocks, blocks[1:]):
-            assert b == c  # contiguous cover
-        # nnz balance within a factor of the max row degree.
-        sizes = [int(g.indptr[hi] - g.indptr[lo]) for lo, hi in blocks]
-        assert max(sizes) <= g.num_edges / len(blocks) + g.degrees().max()
-
-    def test_row_blocks_edge_cases(self):
-        import pytest as _pytest
-
-        from repro.analysis import row_blocks
-        from repro.errors import GraphFormatError
-        from repro.graph import CSRGraph
-
-        assert row_blocks(CSRGraph.empty(0), 4) == []
-        blocks = row_blocks(CSRGraph.empty(3), 8)  # edgeless: any cover is fine
-        assert blocks[0][0] == 0 and blocks[-1][1] == 3
-        with _pytest.raises(GraphFormatError):
-            row_blocks(CSRGraph.empty(3), 0)
-
-    def test_empty_graph(self):
-        import numpy as np
-
-        from repro.analysis import spmv_blocked
-        from repro.graph import CSRGraph
-
-        y = spmv_blocked(CSRGraph.empty(4), np.ones(4))
-        assert np.array_equal(y, np.zeros(4))

@@ -31,7 +31,6 @@ from repro.check.races import (
 )
 from repro.community.dendrogram import NO_VERTEX
 from repro.community.modularity import newman_degrees
-from repro.errors import ReproError
 from repro.graph.generators import rmat_graph
 from repro.parallel.atomics import INVALID_DEGREE, AtomicPairArray, OpCounter
 from repro.parallel.faults import FaultInjector, FaultPlan, FaultyAtomicPairArray
@@ -398,12 +397,6 @@ class TestEndToEnd:
         assert report.events_processed > 0
         assert report.relaxed_accesses > 0  # dest traffic was logged
 
-    def test_threaded_executor_clean(self, graph):
-        res = community_detection_par(
-            graph, num_threads=4, detect_races=True, audit=True
-        )
-        assert res.race_report is not None and res.race_report.ok
-
     def test_result_identical_with_detection_on(self, graph):
         plain = community_detection_par(graph, scheduler_seed=5)
         traced = community_detection_par(
@@ -427,17 +420,16 @@ class TestEndToEnd:
 
 
 class TestStressIntegration:
-    def test_fifty_seeds_clean_on_both_executors(self):
+    def test_fifty_seeds_clean(self):
         from repro.experiments.stress import DEFAULT_CASES, run_stress
 
-        for executor in ("interleave", "threads"):
-            report = run_stress(
-                scale=5, num_seeds=50, cases=(DEFAULT_CASES[0],),
-                executor=executor, detect_races=True,
-            )
-            assert report.ok, report.table()
-            assert all(o.races == 0 for o in report.outcomes)
-            assert "race detection on" in report.graph_desc
+        report = run_stress(
+            scale=5, num_seeds=50, cases=(DEFAULT_CASES[0],),
+            detect_races=True,
+        )
+        assert report.ok, report.table()
+        assert all(o.races == 0 for o in report.outcomes)
+        assert "race detection on" in report.graph_desc
 
     def test_race_failures_fail_the_cell(self, monkeypatch):
         import repro.experiments.stress as stress_mod
@@ -464,9 +456,3 @@ class TestStressIntegration:
         assert not report.ok
         assert report.outcomes[0].races == 1
         assert "race" in (report.outcomes[0].error or "")
-
-    def test_invalid_executor_rejected(self):
-        from repro.experiments.stress import run_stress
-
-        with pytest.raises(ReproError, match="executor"):
-            run_stress(executor="gpu")

@@ -11,8 +11,12 @@ intervals) because CI runs single-core.
 from __future__ import annotations
 
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,3 +187,64 @@ class TestProcessPool:
     def test_empty_round_is_a_noop(self):
         with ProcessPool(echo_factory, config=PoolConfig(**CFG)) as pool:
             assert pool.run_round([]) == []
+
+
+_ORPHAN_PARENT = """
+import time
+from repro.parallel.procpool import PoolConfig, ProcessPool
+
+def factory(init, beat):
+    return lambda payload: payload
+
+pool = ProcessPool(factory, config=PoolConfig(num_workers=2))
+pool.start()
+assert pool.run_round([1, 2, 3]) == [1, 2, 3]
+print(" ".join(str(pid) for pid in pool.worker_pids), flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while *pid* runs; an unreaped zombie counts as gone."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    state = next(
+        line for line in status.splitlines() if line.startswith("State:")
+    )
+    return "Z" not in state.split()[1]
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_parent_is_sigkilled(self):
+        """A SIGKILLed parent runs no cleanup and its pipes stay open in
+        the forked siblings, so the workers must notice re-parenting."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_PARENT],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 60.0)
+            assert ready, "pool parent never reported its workers"
+            pids = [int(p) for p in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(_alive(p) for p in pids)
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        deadline = time.monotonic() + 2.0
+        while any(_alive(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [p for p in pids if _alive(p)]
+        for pid in survivors:  # do not leak them into later tests
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []

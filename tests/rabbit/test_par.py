@@ -66,6 +66,19 @@ class TestInterleavedDeterministic:
 
 
 class TestThreaded:
+    """Modelled thread counts: the interleaving scheduler's window."""
+
+    def test_unseeded_runs_are_replayable(self, paper_graph):
+        """Without a seed the parallel path still runs the seeded
+        scheduler (seed 0), so two calls agree exactly."""
+        g = rmat_graph(7, edge_factor=4, rng=3)
+        for graph in (paper_graph, g):
+            a = rabbit_order(graph, parallel=True)
+            b = rabbit_order(graph, parallel=True)
+            assert np.array_equal(a.permutation, b.permutation)
+            seeded = rabbit_order(graph, parallel=True, scheduler_seed=0)
+            assert np.array_equal(a.permutation, seeded.permutation)
+
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_valid_at_every_thread_count(self, paper_graph, threads):
         res = rabbit_order(paper_graph, parallel=True, num_threads=threads)

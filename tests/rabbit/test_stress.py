@@ -138,8 +138,9 @@ class TestExtremeFaults:
         assert plain.op_counter.snapshot() == nofault.op_counter.snapshot()
 
     def test_threaded_crash_recovery(self):
-        """Real threads with injected crashes still terminate with a
-        complete, audited dendrogram (non-deterministic schedule)."""
+        """Crashes injected on the default (unseeded) parallel path with
+        four modelled threads still end in a complete, audited
+        dendrogram."""
         plan = FaultPlan(seed=0, crash_rate=0.02, max_crashes=4)
         res = community_detection_par(
             GRAPH, num_threads=4, fault_plan=plan, audit=True

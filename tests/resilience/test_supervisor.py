@@ -25,6 +25,7 @@ from repro.resilience import (
     parse_ladder,
     supervised_rabbit_order,
 )
+from repro.resilience.policy import RUNG_NAMES
 
 
 @pytest.fixture
@@ -208,20 +209,26 @@ class TestPolicyHelpers:
         assert backoff_delays(6, base_s=0.05, cap_s=0.4, seed=10) != a
 
     def test_parse_ladder_roundtrip(self):
-        rungs = parse_ladder("par-threads,fastseq,dict", 8)
-        assert [r.name for r in rungs] == ["par-threads", "fastseq", "dict"]
-        assert rungs[0].parallel and rungs[0].num_threads == 8
+        rungs = parse_ladder("par-procs,fastseq,dict", 8)
+        assert [r.name for r in rungs] == ["par-procs", "fastseq", "dict"]
+        assert rungs[0].parallel and rungs[0].num_procs == 8
         assert not rungs[1].parallel and rungs[1].engine == "fast"
         assert rungs[2].engine == "dict"
 
     def test_parse_ladder_rejects_unknown_rung(self):
         with pytest.raises(ReproError) as excinfo:
-            parse_ladder("par-threads,warp-drive", 4)
+            parse_ladder("fastseq,warp-drive", 4)
         # the error catalogues every canonical rung name
-        for name in (
-            "par-procs", "par-threads", "par-interleave", "fastseq", "dict"
-        ):
+        for name in ("par-procs", "fastseq", "dict"):
             assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("retired", ["par-threads", "par-interleave"])
+    def test_parse_ladder_rejects_retired_rungs(self, retired):
+        with pytest.raises(ReproError) as excinfo:
+            parse_ladder(retired)
+        assert str(excinfo.value).endswith(
+            "choose from par-procs, fastseq, dict"
+        )
 
     def test_parse_ladder_rejects_empty_spec(self):
         with pytest.raises(ReproError, match="selects no rungs"):
@@ -234,16 +241,18 @@ class TestPolicyHelpers:
             parse_ladder("fastseq,dict,fastseq", 4)
 
     def test_parse_ladder_strips_whitespace(self):
-        rungs = parse_ladder("  par-procs , fastseq ,dict ", 4, num_procs=3)
+        rungs = parse_ladder("  par-procs , fastseq ,dict ", num_procs=3)
         assert [r.name for r in rungs] == ["par-procs", "fastseq", "dict"]
-        assert rungs[0].executor == "procs" and rungs[0].num_threads == 3
+        assert rungs[0].parallel and rungs[0].num_procs == 3
 
     def test_default_ladder_order(self):
-        names = [r.name for r in default_ladder(4)]
-        assert names == [
-            "par-procs", "par-threads", "par-interleave", "fastseq", "dict"
-        ]
-        assert default_ladder(4)[0].executor == "procs"
+        ladder = default_ladder(4)
+        assert [r.name for r in ladder] == ["par-procs", "fastseq", "dict"]
+        assert [r.parallel for r in ladder] == [True, False, False]
+        assert ladder[0].num_procs == 4
+        assert [r.engine for r in ladder[1:]] == ["fast", "dict"]
+        assert RUNG_NAMES == ("par-procs", "fastseq", "dict")
+        assert SupervisorPolicy().ladder == default_ladder()
 
 
 class TestSupervisedRabbitOrder:
@@ -270,7 +279,7 @@ class TestSupervisedRabbitOrder:
             backoff_cap_s=0.002,
         )
         result, report = supervised_rabbit_order(
-            graph, policy=policy, num_threads=2, audit=True
+            graph, policy=policy, num_procs=2, audit=True
         )
         assert report.success
         assert report.degradations >= 1
@@ -287,11 +296,11 @@ class TestSupervisedRabbitOrder:
         big = erdos_renyi_graph(3000, 0.004, rng=17)
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.001, poll_interval_s=0.002),
-            ladder=(LadderRung(name="par-threads", parallel=True),),
+            ladder=(LadderRung(name="par-procs", parallel=True),),
             final_rung_unbudgeted=False,
         )
         with pytest.raises(AttemptAbortedError) as exc_info:
             supervised_rabbit_order(big, policy=policy)
         report = exc_info.value.run_report
         assert not report.success
-        assert report.final_rung == "par-threads"
+        assert report.final_rung == "par-procs"

@@ -211,12 +211,11 @@ class TestStressRaces:
         assert "race detection on" in out
         assert "races" in out  # table column
 
-    def test_threads_executor_flag(self, capsys):
-        assert main(
-            ["stress", "--quick", "--scale", "5", "--seeds", "2",
-             "--races", "--executor", "threads"]
-        ) == 0
-        assert "executor=threads" in capsys.readouterr().out
+    def test_threads_executor_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["stress", "--quick", "--races", "--executor", "threads"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
 
 class TestBenchCompareExit:
@@ -369,7 +368,7 @@ class TestWorkerCountValidation:
     """``--threads``/``--procs`` below 1 fail identically everywhere:
     ``error: --<flag> must be >= 1`` on stderr, exit code 2."""
 
-    @pytest.mark.parametrize("flag", ["--threads", "--procs"])
+    @pytest.mark.parametrize("flag", ["--procs"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_reorder_rejects_nonpositive(self, graph_file, flag, value, capsys):
         path, _ = graph_file
@@ -447,3 +446,52 @@ class TestResumeProcsSnapshot:
         assert np.array_equal(
             np.load(tmp_path / "base.npy"), np.load(tmp_path / "resumed.npy")
         )
+
+
+class TestResumeLegacyThreadsSnapshot:
+    """Snapshots written by the retired real-thread executor record
+    ``executor: "threads"`` and no scheduler seed.  The snapshot state is
+    executor-neutral, so both resume paths finish them on the
+    interleaving scheduler (seed 0)."""
+
+    @pytest.fixture
+    def legacy(self, graph_file, tmp_path):
+        from repro.rabbit import community_detection_par
+        from repro.resilience import CheckpointConfig
+        from repro.resilience.checkpoint import (
+            load_checkpoint,
+            save_checkpoint,
+        )
+
+        path, g = graph_file
+        ck = tmp_path / "ck"
+        baseline = community_detection_par(
+            g, checkpoint=CheckpointConfig(directory=ck, every=50)
+        ).dendrogram.ordering()
+        snaps = sorted(ck.glob("*.rbk"))
+        for p in snaps:
+            snap = load_checkpoint(p)
+            if snap.progress < g.num_vertices:
+                interior = p
+                break
+        for p in snaps:
+            if p != interior:
+                p.unlink()
+        snap = load_checkpoint(interior)
+        snap.meta["config"].update(executor="threads", scheduler_seed=None)
+        save_checkpoint(interior, snap)
+        return path, g, ck, baseline
+
+    def test_resume_verb(self, legacy, tmp_path, capsys):
+        path, g, ck, baseline = legacy
+        out = tmp_path / "resumed.npy"
+        assert main(["resume", str(ck), path, "--perm-out", str(out)]) == 0
+        assert "resumed par detection" in capsys.readouterr().out
+        assert np.array_equal(np.load(out), baseline)
+
+    def test_rabbit_order_resume(self, legacy):
+        from repro.rabbit import rabbit_order
+
+        path, g, ck, baseline = legacy
+        res = rabbit_order(g, parallel=True, resume=ck, audit=True)
+        assert np.array_equal(res.permutation, baseline)
