@@ -23,7 +23,21 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["CSRGraph", "coalesce_edges"]
+__all__ = ["CSRGraph", "coalesce_edges", "rows_strictly_increasing"]
+
+
+def rows_strictly_increasing(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """True if each row's column indices are strictly increasing: the
+    canonical (sorted, duplicate-free) form :meth:`CSRGraph.from_edges`
+    produces.  O(m)."""
+    if indices.size < 2:
+        return True
+    increasing = indices[1:] > indices[:-1]
+    # Positions where a new row starts need no ordering constraint.
+    row_starts = np.zeros(indices.size - 1, dtype=bool)
+    interior = indptr[(indptr > 0) & (indptr < indices.size)]
+    row_starts[interior - 1] = True
+    return bool(np.all(increasing | row_starts))
 
 
 def _as_index_array(a, name: str) -> np.ndarray:
@@ -315,17 +329,35 @@ class CSRGraph:
         return 0.0
 
     def is_symmetric(self) -> bool:
-        """True if every slot (u, v, w) has a matching (v, u, w)."""
+        """True if every slot (u, v, w) has a matching (v, u, w).
+
+        Rows must be in canonical form (strictly increasing, so no
+        duplicate slots); weights match under ``np.allclose(w(u, v),
+        w(v, u))``.  Sorting the slots' reversed ``(v, u)`` keys gives
+        the transpose without rebuilding a graph: O(m) plus one integer
+        sort."""
         key = "symmetric"
         if key not in self._symmetric_cache:
-            t = self.reverse()
-            same = (
-                np.array_equal(self.indptr, t.indptr)
-                and np.array_equal(self.indices, t.indices)
-                and np.allclose(self.edge_weights(), t.edge_weights())
-            )
-            self._symmetric_cache[key] = same
+            self._symmetric_cache[key] = self._check_symmetric()
         return self._symmetric_cache[key]
+
+    def _check_symmetric(self) -> bool:
+        if not rows_strictly_increasing(self.indptr, self.indices):
+            return False
+        n = self.num_vertices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        # Canonical rows make the (u, v) keys strictly increasing, so the
+        # pattern is symmetric iff the sorted (v, u) keys equal them.
+        keys = rows * n + self.indices
+        reversed_keys = self.indices * n + rows
+        del rows
+        if self.weights is None:
+            return np.array_equal(np.sort(reversed_keys), keys)
+        # reverse_slot[k] = the slot holding the reverse of slot k
+        reverse_slot = np.argsort(reversed_keys)
+        if not np.array_equal(reversed_keys[reverse_slot], keys):
+            return False
+        return bool(np.allclose(self.weights, self.weights[reverse_slot]))
 
     def reverse(self) -> "CSRGraph":
         """Transpose: edge (u, v) becomes (v, u)."""
@@ -352,6 +384,8 @@ class CSRGraph:
         from repro.graph.perm import validate_permutation
 
         perm = validate_permutation(perm, self.num_vertices)
+        if rows_strictly_increasing(self.indptr, self.indices):
+            return self._permute_rows(perm)
         src, dst, w = self.edge_array()
         return CSRGraph.from_edges(
             perm[src],
@@ -360,6 +394,30 @@ class CSRGraph:
             weights=None if self.weights is None else w,
             symmetrize=False,
             coalesce=True,
+        )
+
+    def _permute_rows(self, perm: np.ndarray) -> "CSRGraph":
+        """O(m) :meth:`permute` for canonical rows, which a bijection
+        keeps duplicate-free: gather each new row's old slots, relabel,
+        then sort within rows.  Array-equal to the coalescing path."""
+        n, m = self.num_vertices, self.num_edges
+        old_of = np.empty(n, dtype=np.int64)
+        old_of[perm] = np.arange(n, dtype=np.int64)
+        degrees = np.diff(self.indptr)[old_of]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # slot[k] = old slot of new slot k (row-major over the new rows)
+        slot = np.repeat(self.indptr[:-1][old_of] - indptr[:-1], degrees)
+        slot += np.arange(m, dtype=np.int64)
+        cols = perm[self.indices[slot]]
+        key = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+        key += cols
+        within = np.argsort(key)  # row-major (row, col) keys, all distinct
+        slot = slot[within]
+        return CSRGraph(
+            indptr=indptr,
+            indices=cols[within],
+            weights=None if self.weights is None else self.weights[slot],
         )
 
     def without_self_loops(self) -> "CSRGraph":

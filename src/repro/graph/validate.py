@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, rows_strictly_increasing
 
 __all__ = [
     "check_csr_invariants",
@@ -23,16 +23,7 @@ __all__ = [
 def is_sorted_within_rows(graph: CSRGraph) -> bool:
     """True if each row's column indices are strictly increasing (the
     canonical form produced by :meth:`CSRGraph.from_edges`)."""
-    idx = graph.indices
-    if idx.size < 2:
-        return True
-    ptr = graph.indptr
-    nondecreasing = idx[1:] > idx[:-1]
-    # Positions where a new row starts need no ordering constraint.
-    row_starts = np.zeros(idx.size - 1, dtype=bool)
-    interior = ptr[(ptr > 0) & (ptr < idx.size)]
-    row_starts[interior - 1] = True
-    return bool(np.all(nondecreasing | row_starts))
+    return rows_strictly_increasing(graph.indptr, graph.indices)
 
 
 def check_csr_invariants(graph: CSRGraph) -> None:

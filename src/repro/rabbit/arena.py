@@ -86,6 +86,14 @@ class AdjacencyArena:
         The caller fills ``keys[off:off+count]`` / ``ws[off:off+count]``
         and then calls :meth:`commit`.
         """
+        self.grow(count)
+        off = self._cursor
+        self._cursor += count
+        return off
+
+    def grow(self, count: int) -> None:
+        """Make room for *count* more slots past the cursor (geometric
+        regrowth) without claiming them."""
         need = self._cursor + count
         if need > self.keys.size:
             new_cap = self.keys.size
@@ -98,9 +106,6 @@ class AdjacencyArena:
             self.keys = new_keys
             self.ws = new_ws
             self.grows += 1
-        off = self._cursor
-        self._cursor = need
-        return off
 
     def commit(self, v: int, off: int, count: int) -> None:
         """Attach the filled slice ``[off, off+count)`` to vertex *v*."""
@@ -152,6 +157,16 @@ class AdjacencyArena:
         off = int(self.offset[v])
         end = off + int(self.length[v])
         return self.keys[off:end], self.ws[off:end]
+
+    def entries(self):
+        """Every vertex's ``(keys, ws)`` views, or ``None`` if it has no
+        entry — the snapshot's adjacency sequence."""
+        keys, ws = self.keys, self.ws
+        for off, ln in zip(self.offset.tolist(), self.length.tolist()):
+            if ln == NOT_STORED:
+                yield None
+            else:
+                yield keys[off : off + ln], ws[off : off + ln]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

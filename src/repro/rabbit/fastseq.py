@@ -3,9 +3,18 @@
 This is the ``engine="fast"`` implementation behind
 :func:`repro.rabbit.seq.community_detection_seq`: the same degree-sorted
 sweep and greedy ΔQ merges as the dict engine (Algorithm 2 lines 3–8,
-Algorithm 4 aggregation), with the per-edge Python work replaced by
-numpy kernels over an :class:`~repro.rabbit.arena.AdjacencyArena` for
-large folds and a tight list-based scalar loop for small ones.
+Algorithm 4 aggregation) over an
+:class:`~repro.rabbit.arena.AdjacencyArena`.  The sweep itself runs in
+one of two places:
+
+* the C kernel of :mod:`repro.rabbit.native` when it builds — the
+  dict engine's scalar semantics, driven in chunks of
+  :data:`NATIVE_CHUNK` vertices by :func:`_sweep_native`; or
+* the Python loop below: numpy kernels for large folds and a tight
+  list-based scalar loop for small ones.
+
+Setup, checkpointing and the dendrogram are shared; snapshots from
+either sweep resume on the other (and on the dict engine).
 
 Bit-identical by construction
 -----------------------------
@@ -61,6 +70,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.rabbit.arena import AdjacencyArena
 from repro.rabbit.common import RabbitStats
+from repro.rabbit.native import load_kernel
 from repro.resilience.checkpoint import (
     Snapshot,
     as_checkpointer,
@@ -71,11 +81,21 @@ from repro.resilience.checkpoint import (
 from repro.resilience.runtime import heartbeat
 from repro.rabbit.seq import restore_stats, visit_order
 
-__all__ = ["community_detection_fastseq", "trace_dest_array", "SCALAR_CUTOFF"]
+__all__ = [
+    "community_detection_fastseq",
+    "trace_dest_array",
+    "SCALAR_CUTOFF",
+    "NATIVE_CHUNK",
+]
 
 #: Folded-item count at or below which the scalar path wins
 #: (see docs/PERF.md for the sweep behind this number).
 SCALAR_CUTOFF: int = 192
+
+#: Vertices per call into the native kernel: between calls the driver
+#: beats the heartbeat (so supervisor budgets can cancel), snapshots at
+#: checkpoint boundaries and grows the pools.
+NATIVE_CHUNK: int = 1024
 
 
 def trace_dest_array(dest: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -196,6 +216,92 @@ def _adjacency_entries(
             yield keys_pool[off : off + ln], ws_pool[off : off + ln]
 
 
+def _sweep_native(
+    kernel,
+    graph: CSRGraph,
+    order: np.ndarray,
+    start: int,
+    dest: np.ndarray,
+    child: np.ndarray,
+    sibling: np.ndarray,
+    comm_deg: np.ndarray,
+    arena: AdjacencyArena,
+    toplevel: list[int],
+    stats: RabbitStats,
+    two_m: float,
+    merge_threshold: float,
+    ckpt,
+    snapshot,
+) -> np.ndarray:
+    """Drive the C kernel over ``order[start:]`` in chunks, mutating the
+    state arrays in place; returns the top-level vertices and leaves the
+    counters in *stats*."""
+    n = graph.num_vertices
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    indptr = np.ascontiguousarray(graph.indptr)
+    indices = np.ascontiguousarray(graph.indices)
+    weights = graph.weights
+    if weights is not None:
+        weights = np.ascontiguousarray(weights)
+    top = np.empty(n, dtype=np.int64)
+    top[: len(toplevel)] = toplevel
+    pos = np.full(n, -1, dtype=np.int64)  # kernel scratch, all -1 between folds
+    vw = stats.vertex_work
+    # cursor, toplevels, edges_scanned, merges, slots the next fold needs
+    ctr = np.array(
+        [arena.used, len(toplevel), stats.edges_scanned, stats.merges, 0],
+        dtype=np.int64,
+    )
+    head = (
+        indptr.ctypes.data,
+        indices.ctypes.data,
+        None if weights is None else weights.ctypes.data,
+        order.ctypes.data,
+    )
+    state = tuple(a.ctypes.data for a in (dest, child, sibling, comm_deg))
+    tail = (
+        pos.ctypes.data,
+        top.ctypes.data,
+        None if vw is None else vw.ctypes.data,
+        two_m,
+        float(merge_threshold),
+        ctr.ctypes.data,
+    )
+
+    def sync_stats() -> None:
+        stats.toplevels = int(ctr[1])
+        stats.edges_scanned = int(ctr[2])
+        stats.merges = int(ctr[3])
+
+    i = announced = start
+    while i < n:
+        j = min(n, i + NATIVE_CHUNK)
+        if ckpt is not None:
+            j = min(j, ckpt.next_due(i))
+        heartbeat(max(j - announced, 0))
+        announced = max(announced, j)
+        reached = kernel(
+            *head, i, j, *state,
+            arena.offset.ctypes.data, arena.length.ctypes.data,
+            arena.keys.ctypes.data, arena.ws.ctypes.data, arena.capacity,
+            *tail,
+        )
+        # The kernel filled and committed [used, ctr[0]); claim it.
+        arena.reserve(int(ctr[0]) - arena.used)
+        if reached < j:
+            arena.grow(int(ctr[4]))
+        elif ckpt is not None and ckpt.due(reached):
+            sync_stats()
+            ckpt.save(
+                snapshot(
+                    reached, child, sibling, top[: int(ctr[1])], arena.entries()
+                )
+            )
+        i = reached
+    sync_stats()
+    return top[: int(ctr[1])].copy()
+
+
 def community_detection_fastseq(
     graph: CSRGraph,
     *,
@@ -211,15 +317,18 @@ def community_detection_fastseq(
 
     Drop-in replacement for the dict engine: same parameters, same
     ``(dendrogram, stats)`` contract, bit-identical output (asserted by
-    ``tests/rabbit/test_fastseq_equivalence.py``).
+    ``tests/rabbit/test_fastseq_equivalence.py``).  Runs the C kernel
+    when :func:`~repro.rabbit.native.load_kernel` provides one, else
+    the Python loop.
 
     Parameters
     ----------
     scalar_cutoff:
-        folded-item count at or below which the per-vertex scalar path
-        is used (``None`` = the tuned module default
-        :data:`SCALAR_CUTOFF`; ``-1`` forces the vector path everywhere
-        — used by the equivalence suite to exercise both paths).
+        Python loop only: folded-item count at or below which the
+        per-vertex scalar path is used (``None`` = the tuned module
+        default :data:`SCALAR_CUTOFF`; ``-1`` forces the vector path
+        everywhere — used by the equivalence suite to exercise both
+        paths).
     checkpoint:
         :class:`~repro.resilience.checkpoint.CheckpointConfig` or
         :class:`~repro.resilience.checkpoint.Checkpointer`: snapshot the
@@ -234,9 +343,9 @@ def community_detection_fastseq(
     ckpt = as_checkpointer(checkpoint)
     cutoff = SCALAR_CUTOFF if scalar_cutoff is None else int(scalar_cutoff)
     n = graph.num_vertices
-    with span("rabbit.seq.setup", n=n, engine="fast"):
-        child: list[int] = [NO_VERTEX] * n
-        sibling: list[int] = [NO_VERTEX] * n
+    kernel = load_kernel()
+    engine = "fast" if kernel is None else "native"
+    with span("rabbit.seq.setup", n=n, engine=engine):
         stats = RabbitStats()
         if collect_vertex_work:
             stats.vertex_work = np.zeros(n, dtype=np.int64)
@@ -261,32 +370,23 @@ def community_detection_fastseq(
     start = 0
     if resume is None:
         order = visit_order(graph, visit, visit_rng)
+        dest_a = np.arange(n, dtype=np.int64)
+        child_a = np.full(n, NO_VERTEX, dtype=np.int64)
+        sibling_a = np.full(n, NO_VERTEX, dtype=np.int64)
+        arena = AdjacencyArena(n, capacity=graph.num_edges + n + 1)
+        toplevel: list[int] = []
     else:
         require_fingerprint_match(resume, fingerprint)
         start = resume.progress
-        order = resume.order.copy()
-    # Dual state: list view for scalar work, ndarray twin for gathers.
-    # Folded adjacencies are write-once / read-at-most-once (an entry is
-    # consumed only when its owner's merge target is itself visited), so
-    # they live wherever the *producing* path left them: vector-path
-    # results go to the arena pools (consumed zero-copy by later
-    # gathers), scalar-path results stay as plain Python lists in
-    # ``ek``/``ew`` (consumed without any ndarray round-trip) and are
-    # wrapped into arrays only if a vector fold gathers them.
-    vw: list[int] | None = [0] * n if collect_vertex_work else None
-    if resume is None:
-        dest_a = np.arange(n, dtype=np.int64)
-        arena = AdjacencyArena(n, capacity=graph.num_edges + n + 1)
-        toplevel: list[int] = []
-        edges_scanned = 0
-        merges = 0
-    else:
-        dest_a = resume.dest.copy()
-        child = resume.child.tolist()
-        sibling = resume.sibling.tolist()
+        # Fresh C-contiguous int64/float64 copies: the native sweep
+        # writes through raw pointers.
+        order = np.array(resume.order, dtype=np.int64)
+        dest_a = np.array(resume.dest, dtype=np.int64)
+        child_a = np.array(resume.child, dtype=np.int64)
+        sibling_a = np.array(resume.sibling, dtype=np.int64)
         # Merged vertices carry INVALID_DEGREE (never read again);
         # roots carry their exact accumulated community degree.
-        comm_deg_a = resume.degrees.copy()
+        comm_deg_a = np.array(resume.degrees, dtype=np.float64)
         # Every restored entry becomes arena-resident; residency only
         # affects which fold path consumes it, never the fold result.
         arena = AdjacencyArena.from_pools(
@@ -298,10 +398,56 @@ def community_detection_fastseq(
         )
         toplevel = resume.toplevel.tolist()
         restore_stats(stats, resume)
-        edges_scanned = stats.edges_scanned
-        merges = stats.merges
-        if vw is not None and resume.vertex_work.size:
-            vw = resume.vertex_work.tolist()
+    config = {
+        "engine": "fast",
+        "visit": visit,
+        "visit_rng": visit_rng,
+        "collect_vertex_work": collect_vertex_work,
+        "parallel": False,
+    }
+
+    def snapshot(progress, child, sibling, toplevel, adjacency):
+        return build_snapshot(
+            engine="fast",
+            progress=progress,
+            order=order,
+            dest=dest_a,
+            child=child,
+            sibling=sibling,
+            comm_deg=comm_deg_a,
+            toplevel=toplevel,
+            adjacency=adjacency,
+            stats=stats,
+            fingerprint=fingerprint,
+            config=config,
+        )
+
+    get_registry().counter(f"rabbit.seq.runs.{engine}").inc()
+    if kernel is not None:
+        with span("rabbit.seq.aggregate", n=n, engine=engine):
+            top = _sweep_native(
+                kernel, graph, order, start, dest_a, child_a, sibling_a,
+                comm_deg_a, arena, toplevel, stats, two_m, merge_threshold,
+                ckpt, snapshot,
+            )
+        get_registry().absorb_rabbit_stats(stats)
+        return Dendrogram(child=child_a, sibling=sibling_a, toplevel=top), stats
+
+    # Dual state: list view for scalar work, ndarray twin for gathers.
+    # Folded adjacencies are write-once / read-at-most-once (an entry is
+    # consumed only when its owner's merge target is itself visited), so
+    # they live wherever the *producing* path left them: vector-path
+    # results go to the arena pools (consumed zero-copy by later
+    # gathers), scalar-path results stay as plain Python lists in
+    # ``ek``/``ew`` (consumed without any ndarray round-trip) and are
+    # wrapped into arrays only if a vector fold gathers them.
+    edges_scanned = stats.edges_scanned
+    merges = stats.merges
+    vw: list[int] | None = None
+    if collect_vertex_work:
+        vw = stats.vertex_work.tolist()
+    child: list[int] = child_a.tolist()
+    sibling: list[int] = sibling_a.tolist()
     dest: list[int] = dest_a.tolist()
     comm_deg: list[float] = comm_deg_a.tolist()
     indptr_l: list[int] = graph.indptr.tolist()
@@ -310,17 +456,10 @@ def community_detection_fastseq(
     alen: list[int] = arena.length.tolist()  # folded sizes, both residencies
     ek: list[list | None] = [None] * n
     ew: list[list | None] = [None] * n
-    config = {
-        "engine": "fast",
-        "visit": visit,
-        "visit_rng": visit_rng,
-        "collect_vertex_work": collect_vertex_work,
-        "parallel": False,
-    }
     inv_2m = 1.0 / two_m
     neg_inf = float("-inf")
     order_l = order.tolist()
-    with span("rabbit.seq.aggregate", n=n, engine="fast"):
+    with span("rabbit.seq.aggregate", n=n, engine=engine):
         for i in range(start, n):
             u = order_l[i]
             heartbeat()
@@ -430,9 +569,12 @@ def community_detection_fastseq(
                 edges_scanned += scanned
                 if nk.size:
                     dq = 2.0 * (nw * inv_2m - comm_deg_a[nk] * penalty)
+                    # argmax would pick a NaN; a strict '>' never does.
+                    dq[np.isnan(dq)] = neg_inf
                     j = int(np.argmax(dq))
-                    best_dq = float(dq[j])
-                    best_v = int(nk[j])
+                    if dq[j] > neg_inf:
+                        best_dq = float(dq[j])
+                        best_v = int(nk[j])
                 cnt = nk.size + 1
                 off = arena.reserve(cnt)
                 end = off + cnt - 1
@@ -463,21 +605,9 @@ def community_detection_fastseq(
                 if vw is not None:
                     stats.vertex_work = np.array(vw, dtype=np.int64)
                 ckpt.save(
-                    build_snapshot(
-                        engine="fast",
-                        progress=i + 1,
-                        order=order,
-                        dest=dest_a,
-                        child=child,
-                        sibling=sibling,
-                        comm_deg=comm_deg_a,
-                        toplevel=toplevel,
-                        adjacency=_adjacency_entries(
-                            n, ek, ew, aoff, alen, arena
-                        ),
-                        stats=stats,
-                        fingerprint=fingerprint,
-                        config=config,
+                    snapshot(
+                        i + 1, child, sibling, toplevel,
+                        _adjacency_entries(n, ek, ew, aoff, alen, arena),
                     )
                 )
     if vw is not None:

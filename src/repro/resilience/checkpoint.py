@@ -203,6 +203,17 @@ class Snapshot:
                 )
         if self.adj_keys.size != self.adj_ws.size:
             raise CheckpointError("snapshot adjacency key/weight pools differ")
+        # Vertex ids index engine state (through raw pointers in the
+        # native sweep), so each must name a vertex; links may be -1.
+        for name, low in (
+            ("order", 0), ("dest", 0), ("toplevel", 0), ("adj_keys", 0),
+            ("child", -1), ("sibling", -1),
+        ):
+            ids = getattr(self, name)
+            if ids.size and (ids.min() < low or ids.max() >= n):
+                raise CheckpointError(
+                    f"snapshot array {name!r} holds ids outside [{low}, {n})"
+                )
 
 
 def pack_adjacency(
@@ -485,6 +496,12 @@ class Checkpointer:
         """Whether a sequential engine should snapshot after *progress*
         decided vertices."""
         return progress > 0 and progress % self.config.every == 0
+
+    def next_due(self, progress: int) -> int:
+        """The first progress count after *progress* that is :meth:`due`
+        (where a chunked sweep must pause to snapshot)."""
+        every = self.config.every
+        return (progress // every + 1) * every
 
     def save(self, snapshot: Snapshot) -> Path:
         path = save_checkpoint(

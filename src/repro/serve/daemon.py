@@ -481,7 +481,12 @@ class ReorderServer:
             "inflight": len(self._inflight),
             "active_requests": self._active_requests,
             "cache": self.cache.stats(),
-            "counters": self._metrics.counter_values("serve."),
+            # rabbit.seq.runs.{native,fast}: which sequential sweep ran
+            # when a request fell back off the parallel rung.
+            "counters": {
+                **self._metrics.counter_values("serve."),
+                **self._metrics.counter_values("rabbit.seq.runs."),
+            },
         }
 
 

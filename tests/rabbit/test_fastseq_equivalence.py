@@ -3,9 +3,15 @@ engine must be *bit-identical* to the reference implementation — same
 dendrogram links, same stats, same permutation — not merely an
 equivalent clustering.  These tests are the contract that lets
 ``engine="fast"`` be the default everywhere.
+
+``engine="fast"`` has two sweeps: the C kernel (when it builds) and the
+Python loop.  Every case runs both against the dict oracle; the Python
+loop is reached by switching the kernel loader off.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,9 +24,11 @@ from repro.graph.generators import (
     rmat_graph,
     watts_strogatz_graph,
 )
-from repro.rabbit import rabbit_order
+from repro.obs.metrics import get_registry
+from repro.rabbit import fastseq, rabbit_order
 from repro.rabbit.arena import AdjacencyArena
 from repro.rabbit.fastseq import SCALAR_CUTOFF, community_detection_fastseq
+from repro.rabbit.native import load_kernel
 from repro.rabbit.seq import community_detection_seq
 from tests.conftest import GRAPH_ZOO, make_paper_graph
 
@@ -39,22 +47,60 @@ def reweighted(graph: CSRGraph, seed: int) -> CSRGraph:
     return CSRGraph.from_edges(src[keep], dst[keep], weights=w, symmetrize=True)
 
 
-def assert_engines_identical(graph: CSRGraph, cutoffs=CUTOFFS, **kwargs):
-    ref_dend, ref_stats = community_detection_seq(
-        graph, engine="dict", collect_vertex_work=True, **kwargs
-    )
-    for cutoff in cutoffs:
-        dend, stats = community_detection_fastseq(
-            graph, collect_vertex_work=True, scalar_cutoff=cutoff, **kwargs
-        )
-        ctx = f"scalar_cutoff={cutoff}"
-        assert np.array_equal(ref_dend.child, dend.child), ctx
-        assert np.array_equal(ref_dend.sibling, dend.sibling), ctx
-        assert np.array_equal(ref_dend.toplevel, dend.toplevel), ctx
-        assert ref_stats.merges == stats.merges, ctx
-        assert ref_stats.toplevels == stats.toplevels, ctx
-        assert ref_stats.edges_scanned == stats.edges_scanned, ctx
+#: Whether the C kernel built here; without it the native rows skip.
+NATIVE = load_kernel() is not None
+
+
+@contextmanager
+def python_loop():
+    """Run ``engine="fast"`` on its Python loop (kernel loader off)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fastseq, "load_kernel", lambda: None)
+        yield
+
+
+def native_runs() -> float:
+    return get_registry().counter("rabbit.seq.runs.native").value
+
+
+def assert_same_result(ref, got, ctx: str) -> None:
+    (ref_dend, ref_stats), (dend, stats) = ref, got
+    assert np.array_equal(ref_dend.child, dend.child), ctx
+    assert np.array_equal(ref_dend.sibling, dend.sibling), ctx
+    assert np.array_equal(ref_dend.toplevel, dend.toplevel), ctx
+    assert np.array_equal(ref_dend.ordering(), dend.ordering()), ctx
+    assert ref_stats.merges == stats.merges, ctx
+    assert ref_stats.toplevels == stats.toplevels, ctx
+    assert ref_stats.edges_scanned == stats.edges_scanned, ctx
+    if ref_stats.vertex_work is None:
+        assert stats.vertex_work is None, ctx
+    else:
         assert np.array_equal(ref_stats.vertex_work, stats.vertex_work), ctx
+
+
+def assert_engines_identical(graph: CSRGraph, cutoffs=CUTOFFS, **kwargs):
+    """The native sweep (with and without per-vertex work) and the
+    Python loop at every cutoff regime all match the dict oracle."""
+    for work in (True, False):
+        ref = community_detection_seq(
+            graph, engine="dict", collect_vertex_work=work, **kwargs
+        )
+        if NATIVE:
+            before = native_runs()
+            got = community_detection_fastseq(
+                graph, collect_vertex_work=work, **kwargs
+            )
+            assert native_runs() == before + (graph.total_edge_weight() > 0)
+            assert_same_result(ref, got, f"native, collect_vertex_work={work}")
+        if not work:
+            continue
+        with python_loop():
+            for cutoff in cutoffs:
+                got = community_detection_fastseq(
+                    graph, collect_vertex_work=True, scalar_cutoff=cutoff,
+                    **kwargs,
+                )
+                assert_same_result(ref, got, f"python, scalar_cutoff={cutoff}")
 
 
 class TestGeneratorEquivalence:
@@ -111,10 +157,43 @@ class TestEdgeCases:
         assert_engines_identical(g, visit="identity")
         assert_engines_identical(g, visit="random", visit_rng=11)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_agree(self):
+        """A path whose total weight overflows to inf: not valid input,
+        but every engine must still decide it the same way."""
+        g = CSRGraph.from_edges([0, 1], [1, 2], weights=[1e308, 1e308])
+        assert_engines_identical(g)
+
     def test_rejects_unknown_visit(self):
         g = GRAPH_ZOO["triangle"]
         with pytest.raises(ValueError, match="visit"):
             community_detection_fastseq(g, visit="bogus")
+
+
+class TestNativeDriver:
+    """The chunked driving of the kernel: many small calls and pools
+    that must grow mid-sweep change nothing."""
+
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    def test_small_chunks_and_pool_growth(self, seed, monkeypatch):
+        class TinyArena(AdjacencyArena):
+            def __init__(self, num_vertices, capacity=0):
+                super().__init__(num_vertices, capacity=16)
+
+        monkeypatch.setattr(fastseq, "AdjacencyArena", TinyArena)
+        monkeypatch.setattr(fastseq, "NATIVE_CHUNK", 7)
+        g = reweighted(rmat_graph(7, edge_factor=6, rng=seed), 200 + seed)
+        assert_engines_identical(g, cutoffs=[-1, None])
+
+    def test_heartbeat_units_cover_every_vertex(self, monkeypatch):
+        beats = []
+        monkeypatch.setattr(fastseq, "NATIVE_CHUNK", 10)
+        monkeypatch.setattr(fastseq, "heartbeat", lambda units=1: beats.append(units))
+        g = rmat_graph(6, edge_factor=4, rng=1)
+        community_detection_fastseq(g)
+        assert sum(beats) == g.num_vertices
+        if NATIVE:
+            assert len(beats) == -(-g.num_vertices // 10)
 
 
 class TestPermutationEquivalence:
@@ -130,6 +209,14 @@ class TestPermutationEquivalence:
         default = rabbit_order(paper_graph)
         explicit = rabbit_order(paper_graph, engine="fast")
         assert np.array_equal(default.permutation, explicit.permutation)
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_python_loop_permutation(self, seed):
+        g = rmat_graph(7, edge_factor=6, rng=seed)
+        with python_loop():
+            fast = rabbit_order(g, engine="fast")
+        ref = rabbit_order(g, engine="dict")
+        assert np.array_equal(fast.permutation, ref.permutation)
 
     def test_unknown_engine_rejected(self, paper_graph):
         with pytest.raises(ValueError, match="engine"):

@@ -157,3 +157,18 @@ def test_save_checkpoint_validates(graph, tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "bad.rbk", snap)
     assert not (tmp_path / "bad.rbk").exists()
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("dest", 60), ("order", -1), ("adj_keys", 10**6), ("child", -2)],
+)
+def test_out_of_range_ids_rejected(graph, tmp_path, name, value):
+    """Ids index engine state directly (through raw pointers in the
+    native sweep): a snapshot naming a vertex that does not exist is
+    rejected before any engine reads it."""
+    (path,) = snapshots_of(graph, tmp_path, every=10, keep=1)
+    snap = load_checkpoint(path)
+    getattr(snap, name)[0] = value
+    with pytest.raises(CheckpointError, match=name):
+        snap.validate()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi_graph
+from repro.rabbit import fastseq
 from repro.rabbit.order import rabbit_order
 from repro.rabbit.par import community_detection_par
 from repro.rabbit.seq import community_detection_seq
@@ -18,19 +19,29 @@ from repro.resilience.checkpoint import (
 SEEDS = range(10)
 
 
+#: The sequential sweeps: the dict oracle, ``engine="fast"`` as it runs
+#: by default (the C kernel when it builds), and ``engine="fast"`` on its
+#: Python loop (kernel loader switched off).
+SWEEPS = ("dict", "fast", "python")
+
+
 def seq_perm(graph, *, engine, checkpoint=None, resume=None):
-    dendrogram, _ = community_detection_seq(
-        graph, engine=engine, checkpoint=checkpoint, resume=resume
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "python":
+            mp.setattr(fastseq, "load_kernel", lambda: None)
+            engine = "fast"
+        dendrogram, _ = community_detection_seq(
+            graph, engine=engine, checkpoint=checkpoint, resume=resume
+        )
     return dendrogram.ordering()
 
 
 class TestEveryPrefixEverySeed:
     """``every=1`` retains a snapshot after every decided vertex; each one
-    must resume identically, on the engine that wrote it *and* on the
-    other sequential engine (the schema is engine-agnostic)."""
+    must resume identically on every sequential sweep, the one that wrote
+    it included (the schema is engine-agnostic)."""
 
-    @pytest.mark.parametrize("engine", ["dict", "fast"])
+    @pytest.mark.parametrize("engine", SWEEPS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_prefixes_resume_bit_identical(self, tmp_path, engine, seed):
         graph = erdos_renyi_graph(24, 0.18, rng=seed)
@@ -39,17 +50,37 @@ class TestEveryPrefixEverySeed:
         )
         baseline = seq_perm(graph, engine=engine, checkpoint=ck)
         assert len(ck.saved) >= graph.num_vertices - 1
-        other = "fast" if engine == "dict" else "dict"
         for path in ck.saved:
             snap = load_checkpoint(path)
-            same = seq_perm(graph, engine=engine, resume=snap)
-            cross = seq_perm(graph, engine=other, resume=snap)
-            assert np.array_equal(same, baseline), (
-                f"engine={engine} seed={seed} prefix={snap.progress}"
+            for other in SWEEPS:
+                resumed = seq_perm(graph, engine=other, resume=snap)
+                assert np.array_equal(resumed, baseline), (
+                    f"{engine}->{other} seed={seed} prefix={snap.progress}"
+                )
+
+    @pytest.mark.parametrize("every", [3, 7])
+    def test_sparse_snapshots_resume_on_every_sweep(self, tmp_path, every):
+        """Chunk boundaries that are not snapshot boundaries: snapshots
+        land exactly on multiples of ``every`` and all of them resume."""
+        graph = erdos_renyi_graph(60, 0.1, rng=42)
+        for engine in SWEEPS:
+            ck = Checkpointer(
+                CheckpointConfig(
+                    directory=tmp_path / engine, every=every, keep=10**6
+                )
             )
-            assert np.array_equal(cross, baseline), (
-                f"{engine}->{other} seed={seed} prefix={snap.progress}"
-            )
+            baseline = seq_perm(graph, engine=engine, checkpoint=ck)
+            progress = [load_checkpoint(p).progress for p in ck.saved]
+            assert progress == list(
+                range(every, graph.num_vertices + 1, every)
+            ), engine
+            for path in ck.saved:
+                snap = load_checkpoint(path)
+                for other in SWEEPS:
+                    resumed = seq_perm(graph, engine=other, resume=snap)
+                    assert np.array_equal(resumed, baseline), (
+                        f"{engine}->{other} prefix={snap.progress}"
+                    )
 
 
 def par_perm(graph, seed, *, num_threads, directory, every, resume=None):
@@ -99,7 +130,7 @@ class TestKillResumeSweep:
 class TestSeqKillResumeSweep:
     """Same 25-seed sweep for the sequential engines."""
 
-    @pytest.mark.parametrize("engine", ["dict", "fast"])
+    @pytest.mark.parametrize("engine", SWEEPS)
     def test_25_seed_sweep(self, tmp_path, engine):
         for seed in range(25):
             graph = erdos_renyi_graph(40, 0.12, rng=200 + seed)

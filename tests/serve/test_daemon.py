@@ -181,6 +181,13 @@ class TestAnalyzeAndStatus:
             assert status["uptime_s"] >= 0.0
             assert status["cache"]["memory_entries"] == 1
             assert status["counters"]["serve.compute.runs"] >= 1.0
+            # The default ladder computes on fastseq, and the reply says
+            # which sequential sweep (C kernel or Python loop) ran.
+            sweeps = [
+                status["counters"].get(f"rabbit.seq.runs.{engine}", 0.0)
+                for engine in ("native", "fast")
+            ]
+            assert sum(sweeps) >= 1.0
 
 
 class TestRejections:
