@@ -5,6 +5,11 @@ Returns each vertex's *core number*: the largest k such that the vertex
 belongs to a subgraph where every vertex has degree ≥ k.  Self-loops are
 ignored (the conventional treatment; they would otherwise inflate a
 vertex's degree by an edge that cannot help its neighbours).
+
+The peel runs in C (``repro_core_numbers`` in :mod:`repro.native`) when
+the library loads, and in the Python loop below otherwise; both bucket
+vertices in id order and scan neighbours in slot order, so their core
+numbers are array-equal.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import require_symmetric
+from repro.native import load_kernel
 from repro.obs.trace import span
 
 __all__ = ["core_numbers", "kcore_subgraph"]
@@ -26,6 +32,21 @@ def core_numbers(graph: CSRGraph) -> np.ndarray:
 
 def _core_numbers(graph: CSRGraph) -> np.ndarray:
     require_symmetric(graph, "k-core decomposition")
+    lib = load_kernel()
+    if lib is not None:
+        # The C peel skips self-loops in place: no loop-free copy.  The
+        # symmetry check admits only duplicate-free rows, so every
+        # degree is below n and the kernel's n + 1 buckets suffice.
+        n = graph.num_vertices
+        indptr = np.ascontiguousarray(graph.indptr)
+        indices = np.ascontiguousarray(graph.indices)
+        core = np.empty(n, dtype=np.int64)
+        scratch = np.empty(3 * n + 1, dtype=np.int64)
+        lib.repro_core_numbers(
+            n, indptr.ctypes.data, indices.ctypes.data, core.ctypes.data,
+            scratch.ctypes.data,
+        )
+        return core
     g = graph.without_self_loops()
     n = g.num_vertices
     deg = g.degrees().astype(np.int64)

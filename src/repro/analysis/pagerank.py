@@ -22,6 +22,7 @@ import numpy as np
 from repro.analysis.spmv import spmv
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
+from repro.graph.validate import check_weights
 from repro.obs.trace import span
 
 __all__ = ["PageRankResult", "pagerank", "DEFAULT_TELEPORT", "DEFAULT_TOLERANCE"]
@@ -53,8 +54,11 @@ def pagerank(
 
     Returns scores summing to 1.  ``iterations`` is the number of SpMV
     applications performed, which the cost model multiplies by the
-    per-iteration simulated cycle count.
+    per-iteration simulated cycle count.  Raises
+    :class:`~repro.errors.GraphFormatError` on a NaN, infinite or
+    negative edge weight.
     """
+    check_weights(graph)
     n = graph.num_vertices
     if n == 0:
         return PageRankResult(np.zeros(0), 0, 0.0)

@@ -17,6 +17,7 @@ import numpy as np
 from repro.analysis.spmv import spmv
 from repro.errors import ConvergenceError, GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.validate import check_weights
 
 __all__ = ["RWRResult", "random_walk_with_restart"]
 
@@ -41,6 +42,8 @@ def random_walk_with_restart(
 
     Returns scores summing to 1; ``scores[seed]`` is always the largest
     for restart probabilities above the graph's mixing threshold.
+    Raises :class:`GraphFormatError` on a NaN, infinite or negative edge
+    weight.
     """
     n = graph.num_vertices
     seed = int(seed)
@@ -48,6 +51,7 @@ def random_walk_with_restart(
         raise GraphFormatError(f"seed {seed} out of range [0, {n})")
     if not (0.0 < restart <= 1.0):
         raise GraphFormatError(f"restart must be in (0, 1], got {restart}")
+    check_weights(graph)
     deg = graph.weighted_degrees()
     dangling = deg == 0.0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))

@@ -4,6 +4,10 @@ Works on any directed CSR graph; on the symmetric graphs used in the
 experiments the SCCs coincide with the connected components, which the
 test suite exploits as a cross-check against
 :mod:`repro.analysis.components`.
+
+The search runs in C (``repro_scc`` in :mod:`repro.native`) when the
+library loads, and in :func:`_tarjan` otherwise; both take roots in id
+order and neighbours in slot order, so their labels are array-equal.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.native import load_kernel
 from repro.obs.trace import span
 
 __all__ = ["SCCResult", "strongly_connected_components"]
@@ -34,7 +39,19 @@ def strongly_connected_components(graph: CSRGraph) -> SCCResult:
     """Tarjan's algorithm, fully iterative (explicit stack; no recursion,
     so million-vertex path graphs are fine)."""
     with span("analysis.scc", n=graph.num_vertices):
-        return _tarjan(graph)
+        lib = load_kernel()
+        if lib is None:
+            return _tarjan(graph)
+        n = graph.num_vertices
+        indptr = np.ascontiguousarray(graph.indptr)
+        indices = np.ascontiguousarray(graph.indices)
+        labels = np.empty(n, dtype=np.int64)
+        scratch = np.empty(5 * n, dtype=np.int64)
+        num_components = lib.repro_scc(
+            n, indptr.ctypes.data, indices.ctypes.data, labels.ctypes.data,
+            scratch.ctypes.data,
+        )
+        return SCCResult(labels=labels, num_components=int(num_components))
 
 
 def _tarjan(graph: CSRGraph) -> SCCResult:

@@ -2,12 +2,15 @@
 
 Two kernels:
 
-* :func:`spmv` — the production kernel, fully vectorised
-  (``bincount``-based row reduction; O(m), no Python-level loop).
+* :func:`spmv` — the production kernel: Algorithm 1's row loop in C
+  (``repro_spmv`` in :mod:`repro.native`), or a ``bincount`` row
+  reduction where the library does not build.  Both sum each row from
+  0.0 in slot order, so they are array-equal to each other and to the
+  oracle.
 * :func:`spmv_naive` — a line-for-line transcription of Algorithm 1, used
   as the test oracle and as the definition of the memory-access stream the
   cache simulator replays (:mod:`repro.cache.trace` generates addresses in
-  exactly this loop order).
+  exactly this loop order, which is also the C kernel's).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.native import load_kernel
 
 __all__ = ["spmv", "spmv_naive"]
 
@@ -33,12 +37,27 @@ def spmv(graph: CSRGraph, x) -> np.ndarray:
     """Compute ``y = A x`` where ``A`` is *graph*'s (weighted) adjacency
     matrix in CSR form."""
     x = _check_vector(graph, x)
+    n = graph.num_vertices
     if graph.num_edges == 0:
-        return np.zeros(graph.num_vertices, dtype=np.float64)
-    contrib = graph.edge_weights() * x[graph.indices]
-    return np.bincount(
-        graph.row_of_slot(), weights=contrib, minlength=graph.num_vertices
+        return np.zeros(n, dtype=np.float64)
+    lib = load_kernel()
+    if lib is None:
+        contrib = graph.edge_weights() * x[graph.indices]
+        return np.bincount(graph.row_of_slot(), weights=contrib, minlength=n)
+    # Locals keep any contiguous copies alive through the call.
+    x = np.ascontiguousarray(x)
+    indptr = np.ascontiguousarray(graph.indptr)
+    indices = np.ascontiguousarray(graph.indices)
+    weights = graph.weights
+    if weights is not None:
+        weights = np.ascontiguousarray(weights)
+    y = np.empty(n, dtype=np.float64)
+    lib.repro_spmv(
+        n, indptr.ctypes.data, indices.ctypes.data,
+        None if weights is None else weights.ctypes.data, x.ctypes.data,
+        y.ctypes.data,
     )
+    return y
 
 
 def spmv_naive(graph: CSRGraph, x) -> np.ndarray:

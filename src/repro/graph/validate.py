@@ -15,6 +15,7 @@ from repro.graph.csr import CSRGraph, rows_strictly_increasing
 
 __all__ = [
     "check_csr_invariants",
+    "check_weights",
     "require_symmetric",
     "is_sorted_within_rows",
 ]
@@ -31,16 +32,27 @@ def check_csr_invariants(graph: CSRGraph) -> None:
     invariants beyond what the constructor already enforces."""
     if not is_sorted_within_rows(graph):
         raise GraphFormatError("column indices are not sorted within rows")
-    if graph.weights is not None:
-        if not np.all(np.isfinite(graph.weights)):
-            raise GraphFormatError("edge weights must be finite")
-        if np.any(graph.weights < 0):
-            raise GraphFormatError("edge weights must be non-negative")
+    check_weights(graph)
+
+
+def _require_finite_weights(graph: CSRGraph) -> None:
+    if graph.weights is not None and not np.all(np.isfinite(graph.weights)):
+        raise GraphFormatError("edge weights must be finite")
+
+
+def check_weights(graph: CSRGraph) -> None:
+    """Raise :class:`GraphFormatError` unless every edge weight is finite
+    and non-negative; free on unweighted graphs."""
+    _require_finite_weights(graph)
+    if graph.weights is not None and np.any(graph.weights < 0):
+        raise GraphFormatError("edge weights must be non-negative")
 
 
 def require_symmetric(graph: CSRGraph, what: str = "this algorithm") -> None:
-    """Raise unless *graph* is symmetric (undirected)."""
+    """Raise unless *graph* is symmetric (undirected).  A non-finite
+    weight is named as such: NaN never compares equal to its mirror."""
     if not graph.is_symmetric():
+        _require_finite_weights(graph)
         raise GraphFormatError(
             f"{what} requires an undirected (symmetric) graph; "
             "build with symmetrize=True or call graph.reverse()-union first"

@@ -7,7 +7,7 @@ Algorithm 4 aggregation) over an
 :class:`~repro.rabbit.arena.AdjacencyArena`.  The sweep itself runs in
 one of two places:
 
-* the C kernel of :mod:`repro.rabbit.native` when it builds — the
+* the C kernel of :mod:`repro.native` when it builds — the
   dict engine's scalar semantics, driven in chunks of
   :data:`NATIVE_CHUNK` vertices by :func:`_sweep_native`; or
 * the Python loop below: numpy kernels for large folds and a tight
@@ -66,11 +66,11 @@ from repro.community.dendrogram import NO_VERTEX, Dendrogram
 from repro.community.modularity import newman_degrees
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import require_symmetric
+from repro.native import load_kernel
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.rabbit.arena import AdjacencyArena
 from repro.rabbit.common import RabbitStats
-from repro.rabbit.native import load_kernel
 from repro.resilience.checkpoint import (
     Snapshot,
     as_checkpointer,
@@ -318,7 +318,7 @@ def community_detection_fastseq(
     Drop-in replacement for the dict engine: same parameters, same
     ``(dendrogram, stats)`` contract, bit-identical output (asserted by
     ``tests/rabbit/test_fastseq_equivalence.py``).  Runs the C kernel
-    when :func:`~repro.rabbit.native.load_kernel` provides one, else
+    when :func:`~repro.native.load_kernel` provides one, else
     the Python loop.
 
     Parameters
@@ -426,9 +426,9 @@ def community_detection_fastseq(
     if kernel is not None:
         with span("rabbit.seq.aggregate", n=n, engine=engine):
             top = _sweep_native(
-                kernel, graph, order, start, dest_a, child_a, sibling_a,
-                comm_deg_a, arena, toplevel, stats, two_m, merge_threshold,
-                ckpt, snapshot,
+                kernel.rabbit_fold_sweep, graph, order, start, dest_a,
+                child_a, sibling_a, comm_deg_a, arena, toplevel, stats, two_m,
+                merge_threshold, ckpt, snapshot,
             )
         get_registry().absorb_rabbit_stats(stats)
         return Dendrogram(child=child_a, sibling=sibling_a, toplevel=top), stats

@@ -86,6 +86,11 @@ class TestComponents:
         with pytest.raises(GraphFormatError):
             connected_components(g)
 
+    def test_nan_weight_named(self):
+        g = CSRGraph.from_edges([0, 1], [1, 2], weights=[1.0, np.nan])
+        with pytest.raises(GraphFormatError, match="edge weights must be finite"):
+            connected_components(g)
+
 
 class TestKCore:
     def test_matches_networkx(self):
@@ -123,6 +128,12 @@ class TestKCore:
 
     def test_empty_graph(self):
         assert core_numbers(CSRGraph.empty(0)).size == 0
+
+    def test_nan_weight_named(self):
+        # NaN never equals its mirror, so the graph reads as asymmetric.
+        g = CSRGraph.from_edges([0, 1], [1, 2], weights=[1.0, np.nan])
+        with pytest.raises(GraphFormatError, match="edge weights must be finite"):
+            core_numbers(g)
 
 
 class TestPseudoDiameter:

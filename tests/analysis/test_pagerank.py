@@ -4,13 +4,27 @@ import numpy as np
 import pytest
 
 from repro.analysis import pagerank
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, GraphFormatError
 from repro.graph import CSRGraph
 from repro.graph.generators import rmat_graph
 from tests.conftest import to_networkx
 
 
+def weighted_path(weights) -> CSRGraph:
+    """The path 0-1-2 with the given weights on its two edges."""
+    return CSRGraph.from_edges([0, 1], [1, 2], weights=weights)
+
+
 class TestPageRank:
+    def test_negative_weight_rejected(self):
+        with pytest.raises(GraphFormatError, match="must be non-negative"):
+            pagerank(weighted_path([1.0, -3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(GraphFormatError, match="must be finite"):
+            pagerank(weighted_path([1.0, bad]))
+
     def test_scores_sum_to_one(self, paper_graph):
         res = pagerank(paper_graph)
         assert res.scores.sum() == pytest.approx(1.0)

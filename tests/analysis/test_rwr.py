@@ -10,6 +10,17 @@ from repro.graph.generators import hierarchical_community_graph, rmat_graph
 
 
 class TestRWR:
+    def test_negative_weight_rejected(self):
+        g = CSRGraph.from_edges([0, 1], [1, 2], weights=[1.0, -3.0])
+        with pytest.raises(GraphFormatError, match="must be non-negative"):
+            random_walk_with_restart(g, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        g = CSRGraph.from_edges([0, 1], [1, 2], weights=[1.0, bad])
+        with pytest.raises(GraphFormatError, match="must be finite"):
+            random_walk_with_restart(g, 0)
+
     def test_scores_sum_to_one(self, paper_graph):
         res = random_walk_with_restart(paper_graph, 0)
         assert res.scores.sum() == pytest.approx(1.0)

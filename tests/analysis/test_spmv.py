@@ -1,20 +1,37 @@
-"""SpMV kernels (Algorithm 1)."""
+"""SpMV kernels (Algorithm 1).  ``TestSpmv`` runs the production kernel
+as it loads here (the C row loop when a compiler is present);
+``TestSpmvFallback`` runs every case again on the ``bincount`` kernel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.analysis import spmv, spmv_naive
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph
 from repro.graph.generators import erdos_renyi_graph
 
 
+def check_equals_scalar(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    g = erdos_renyi_graph(25, 0.2, rng=rng)
+    x = rng.standard_normal(25)
+    assert np.array_equal(spmv(g, x), spmv_naive(g, x))
+
+
+def check_linearity(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    g = erdos_renyi_graph(20, 0.2, rng=rng)
+    x, y = rng.standard_normal(20), rng.standard_normal(20)
+    assert np.allclose(spmv(g, 2.0 * x + y), 2.0 * spmv(g, x) + spmv(g, y))
+
+
 class TestSpmv:
     def test_matches_naive(self, paper_graph):
         x = np.arange(paper_graph.num_vertices, dtype=np.float64)
-        assert np.allclose(spmv(paper_graph, x), spmv_naive(paper_graph, x))
+        assert np.array_equal(spmv(paper_graph, x), spmv_naive(paper_graph, x))
 
     def test_matches_scipy(self, paper_graph):
         x = np.linspace(0, 1, paper_graph.num_vertices)
@@ -31,7 +48,7 @@ class TestSpmv:
 
     def test_self_loop(self):
         g = CSRGraph.from_edges([0], [0], weights=[2.0])
-        assert spmv(g, np.array([3.0]))[0] == pytest.approx(6.0)
+        assert spmv(g, np.array([3.0]))[0] == 6.0
 
     def test_unweighted_counts_neighbors(self):
         g = CSRGraph.from_edges([0, 1], [1, 2])
@@ -47,20 +64,12 @@ class TestSpmv:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_hypothesis_vectorised_equals_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        g = erdos_renyi_graph(25, 0.2, rng=rng)
-        x = rng.standard_normal(25)
-        assert np.allclose(spmv(g, x), spmv_naive(g, x))
+        check_equals_scalar(seed)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_linearity(self, seed):
-        rng = np.random.default_rng(seed)
-        g = erdos_renyi_graph(20, 0.2, rng=rng)
-        x, y = rng.standard_normal(20), rng.standard_normal(20)
-        assert np.allclose(
-            spmv(g, 2.0 * x + y), 2.0 * spmv(g, x) + spmv(g, y)
-        )
+        check_linearity(seed)
 
     def test_permutation_equivariance(self, paper_graph):
         """SpMV on the permuted graph with the permuted vector equals the
@@ -75,3 +84,26 @@ class TestSpmv:
         xp = apply_permutation_to_values(perm, x)
         yp = spmv(gp, xp)
         assert np.allclose(yp, apply_permutation_to_values(perm, y))
+
+
+class TestSpmvFallback(TestSpmv):
+    """Every case above on the ``bincount`` kernel, as on a host where the
+    C library does not build."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _no_library(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "_kernel", None)
+            yield
+
+    # Property tests are redefined, not inherited: hypothesis rejects one
+    # test function run from two classes.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_hypothesis_vectorised_equals_scalar(self, seed):
+        check_equals_scalar(seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_linearity(self, seed):
+        check_linearity(seed)

@@ -28,7 +28,7 @@ from repro.obs.metrics import get_registry
 from repro.rabbit import fastseq, rabbit_order
 from repro.rabbit.arena import AdjacencyArena
 from repro.rabbit.fastseq import SCALAR_CUTOFF, community_detection_fastseq
-from repro.rabbit.native import load_kernel
+from repro.native import load_kernel
 from repro.rabbit.seq import community_detection_seq
 from tests.conftest import GRAPH_ZOO, make_paper_graph
 

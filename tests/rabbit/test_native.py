@@ -1,5 +1,6 @@
-"""The C kernel's build, cache and fallback: whatever goes wrong on the
-way to loading it, the sweep still returns the Python loop's result and
+"""The C library's build, cache and fallback: whatever goes wrong on the
+way to loading it, the aggregation sweep and the analysis entry points
+(SpMV, PageRank, k-core, SCC) still return their fallbacks' results and
 nothing raises."""
 
 from __future__ import annotations
@@ -12,21 +13,37 @@ from pathlib import Path
 
 import pytest
 
+from repro import native
 from repro.graph.generators import rmat_graph
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.rabbit import fastseq, native, rabbit_order
+from repro.rabbit import fastseq, rabbit_order
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Reorders one graph and reports whether the kernel loaded.
-SCRIPT = """
-import json
+#: Reorders and analyses one graph into ``answers``, every value a list.
+ANSWERS = """
+import numpy as np
+from repro.analysis import (
+    core_numbers, pagerank, spmv, strongly_connected_components,
+)
 from repro.graph.generators import rmat_graph
 from repro.rabbit import rabbit_order
-from repro.rabbit.native import load_kernel
-perm = rabbit_order(rmat_graph(7, edge_factor=6, rng=3)).permutation
-print(json.dumps({"native": load_kernel() is not None, "perm": perm.tolist()}))
+g = rmat_graph(7, edge_factor=6, rng=3)
+answers = {
+    "perm": rabbit_order(g).permutation.tolist(),
+    "spmv": spmv(g, np.linspace(0.0, 1.0, g.num_vertices)).tolist(),
+    "pagerank": pagerank(g).scores.tolist(),
+    "core": core_numbers(g).tolist(),
+    "scc": strongly_connected_components(g).labels.tolist(),
+}
+"""
+
+#: Prints the answers and whether the library loaded.
+SCRIPT = ANSWERS + """
+import json
+from repro.native import load_kernel
+print(json.dumps({"native": load_kernel() is not None, **answers}))
 """
 
 needs_compiler = pytest.mark.skipif(
@@ -35,11 +52,13 @@ needs_compiler = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="module")
-def python_perm() -> list[int]:
-    """The Python loop's permutation of the script's graph."""
+def fallback() -> dict[str, list]:
+    """The script's answers from the Python and numpy fallbacks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastseq, "load_kernel", lambda: None)
-        return rabbit_order(rmat_graph(7, edge_factor=6, rng=3)).permutation.tolist()
+        mp.setattr(native, "_kernel", None)
+        namespace: dict = {}
+        exec(ANSWERS, namespace)
+        return namespace["answers"]
 
 
 def run_env(cache_home: Path, path: str | None = None) -> dict[str, str]:
@@ -76,20 +95,20 @@ def built(cache_home: Path) -> list[Path]:
 
 
 class TestFallback:
-    def test_no_compiler_on_path(self, tmp_path, python_perm):
+    def test_no_compiler_on_path(self, tmp_path, fallback):
         empty_bin = tmp_path / "bin"
         empty_bin.mkdir()
         got = run(run_env(tmp_path / "cache", path=str(empty_bin)))
-        assert got == {"native": False, "perm": python_perm}
+        assert got == {"native": False, **fallback}
         assert built(tmp_path / "cache") == []
 
-    def test_unwritable_cache_dir(self, tmp_path, python_perm):
+    def test_unwritable_cache_dir(self, tmp_path, fallback):
         # A regular file where the cache root should be: no directory can
         # be made under it, whoever runs the test.
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         got = run(run_env(blocker))
-        assert got == {"native": False, "perm": python_perm}
+        assert got == {"native": False, **fallback}
         assert native.compile_kernel(blocker / "repro" / "native") is None
 
     @needs_compiler
@@ -98,34 +117,45 @@ class TestFallback:
         assert native.compile_kernel(tmp_path) is None
         assert list(tmp_path.iterdir()) == []
 
+    def test_compiler_that_fails(self, tmp_path, fallback):
+        # A "cc" that rejects every input, as on a broken toolchain.
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        cc = bin_dir / "cc"
+        cc.write_text("#!/bin/sh\necho 'error: broken' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        got = run(run_env(tmp_path / "cache", path=str(bin_dir)))
+        assert got == {"native": False, **fallback}
+        assert built(tmp_path / "cache") == []
+
     @needs_compiler
-    def test_corrupt_cached_library_is_rebuilt(self, tmp_path, python_perm):
+    def test_corrupt_cached_library_is_rebuilt(self, tmp_path, fallback):
         cache = tmp_path / "cache"
-        assert run(run_env(cache)) == {"native": True, "perm": python_perm}
+        assert run(run_env(cache)) == {"native": True, **fallback}
         (lib,) = built(cache)
         lib.write_bytes(b"\x7fELF but not really a shared object")
-        assert run(run_env(cache)) == {"native": True, "perm": python_perm}
+        assert run(run_env(cache)) == {"native": True, **fallback}
         (again,) = built(cache)
         assert again == lib
         assert again.read_bytes().startswith(b"\x7fELF\x02")
 
     @needs_compiler
-    def test_truncated_cached_library_is_rebuilt(self, tmp_path, python_perm):
+    def test_truncated_cached_library_is_rebuilt(self, tmp_path, fallback):
         cache = tmp_path / "cache"
         run(run_env(cache))
         (lib,) = built(cache)
         data = lib.read_bytes()
         lib.write_bytes(data[: len(data) // 3])
-        assert run(run_env(cache)) == {"native": True, "perm": python_perm}
+        assert run(run_env(cache)) == {"native": True, **fallback}
         assert lib.read_bytes() == data
 
     @needs_compiler
-    def test_two_processes_building_at_once(self, tmp_path, python_perm):
+    def test_two_processes_building_at_once(self, tmp_path, fallback):
         cache = tmp_path / "cache"
         env = run_env(cache)
         procs = [start(env), start(env)]
         results = [finish(p) for p in procs]
-        assert results == [{"native": True, "perm": python_perm}] * 2
+        assert results == [{"native": True, **fallback}] * 2
         # One installed library, no temporary leftovers beside it.
         (lib,) = built(cache)
         assert lib.suffix == ".so"
@@ -138,7 +168,7 @@ class TestObservability:
         g = rmat_graph(7, edge_factor=6, rng=1)
         with trace.capture() as cap:
             rabbit_order(g)
-        (build,) = cap.find("rabbit.native.build")
+        (build,) = cap.find("native.build")
         assert build.attrs["loaded"] is True
         (sweep,) = cap.find("rabbit.seq.aggregate")
         assert sweep.attrs["engine"] == "native"
@@ -171,7 +201,7 @@ class TestKernelIdentity:
     def test_warm_cache_reuses_the_library(self, tmp_path):
         native.compile_kernel(tmp_path)
         (lib,) = sorted(tmp_path.glob("*.so"))
-        assert lib.name.startswith("fold_kernel-")
+        assert lib.name.startswith("kernels-")
         mtime = lib.stat().st_mtime_ns
         assert native.compile_kernel(tmp_path) is not None
         assert sorted(tmp_path.glob("*.so")) == [lib]
