@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.spmv import spmv
+from repro.analysis.spmv import inverse_degrees, spmv
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import check_weights
 from repro.obs.trace import span
 
 __all__ = ["PageRankResult", "pagerank", "DEFAULT_TELEPORT", "DEFAULT_TOLERANCE"]
@@ -56,15 +55,12 @@ def pagerank(
     applications performed, which the cost model multiplies by the
     per-iteration simulated cycle count.  Raises
     :class:`~repro.errors.GraphFormatError` on a NaN, infinite or
-    negative edge weight.
+    negative edge weight, or a degree whose reciprocal overflows.
     """
-    check_weights(graph)
+    inv_deg, dangling = inverse_degrees(graph)
     n = graph.num_vertices
     if n == 0:
         return PageRankResult(np.zeros(0), 0, 0.0)
-    deg = graph.weighted_degrees()
-    dangling = deg == 0.0
-    inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     s = np.full(n, 1.0 / n, dtype=np.float64)
     base = teleport / n
     residual = np.inf

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.spmv import spmv
+from repro.analysis.spmv import inverse_degrees, spmv
 from repro.errors import ConvergenceError, GraphFormatError
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import check_weights
 
 __all__ = ["RWRResult", "random_walk_with_restart"]
 
@@ -43,7 +42,7 @@ def random_walk_with_restart(
     Returns scores summing to 1; ``scores[seed]`` is always the largest
     for restart probabilities above the graph's mixing threshold.
     Raises :class:`GraphFormatError` on a NaN, infinite or negative edge
-    weight.
+    weight, or a degree whose reciprocal overflows.
     """
     n = graph.num_vertices
     seed = int(seed)
@@ -51,10 +50,7 @@ def random_walk_with_restart(
         raise GraphFormatError(f"seed {seed} out of range [0, {n})")
     if not (0.0 < restart <= 1.0):
         raise GraphFormatError(f"restart must be in (0, 1], got {restart}")
-    check_weights(graph)
-    deg = graph.weighted_degrees()
-    dangling = deg == 0.0
-    inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    inv_deg, dangling = inverse_degrees(graph)
     e = np.zeros(n, dtype=np.float64)
     e[seed] = 1.0
     s = e.copy()

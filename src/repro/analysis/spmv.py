@@ -19,9 +19,10 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.validate import check_weights
 from repro.native import load_kernel
 
-__all__ = ["spmv", "spmv_naive"]
+__all__ = ["inverse_degrees", "spmv", "spmv_naive"]
 
 
 def _check_vector(graph: CSRGraph, x) -> np.ndarray:
@@ -58,6 +59,30 @@ def spmv(graph: CSRGraph, x) -> np.ndarray:
         y.ctypes.data,
     )
     return y
+
+
+def inverse_degrees(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(1 / d(v), dangling)`` for the random-walk solvers (PageRank,
+    RWR), with ``0.0`` at dangling (degree-0) vertices.
+
+    Raises :class:`GraphFormatError` on a NaN, infinite or negative edge
+    weight, and on a degree so small (subnormal) that its reciprocal
+    overflows: ``spmv`` would multiply that ``inf`` by a zero weight and
+    every score would turn NaN.
+    """
+    check_weights(graph)
+    deg = graph.weighted_degrees()
+    dangling = deg == 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    bad = np.flatnonzero(~np.isfinite(inv_deg))
+    if bad.size:
+        v = int(bad[0])
+        raise GraphFormatError(
+            f"vertex {v} has weighted degree {float(deg[v])!r}, whose "
+            "reciprocal overflows; a random walk needs 1/degree finite"
+        )
+    return inv_deg, dangling
 
 
 def spmv_naive(graph: CSRGraph, x) -> np.ndarray:

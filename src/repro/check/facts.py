@@ -75,8 +75,6 @@ OWNERSHIP_FACTS: Tuple[OwnershipFact, ...] = (
         entry_points=(
             "repro.rabbit.arena.AdjacencyArena.__init__",
             "repro.rabbit.arena.AdjacencyArena.reserve",
-            "repro.rabbit.arena.AdjacencyArena.commit",
-            "repro.rabbit.arena.AdjacencyArena.store",
             "repro.rabbit.arena.AdjacencyArena.from_pools",
         ),
         note="the arena's bump-allocator cursor (sequential engine)",

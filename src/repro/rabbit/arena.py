@@ -25,15 +25,13 @@ neighbour entries come first, in first-encounter order, and the vertex's
 own self-loop entry is always the **last** element of its slice.
 
 The same pool layout backs every engine tier: the sequential fast
-engine allocates the pools as plain ndarrays here; the parallel thread
-and interleave executors shard them per worker task
+engine allocates the pools as plain ndarrays here and its C sweep writes
+them in place; the interleave executor shards them per worker task
 (:class:`repro.rabbit.fastpar.ShardedAdjacency`, one single-writer
 shard each); and the process executor maps them from
 ``multiprocessing.shared_memory`` segments
-(:class:`repro.parallel.procpool.ShmArray` — see
-:func:`AdjacencyArena.from_pools`, which rehydrates an arena over any
-externally-owned buffers) so worker processes fold against the shared
-bytes zero-copy.
+(:class:`repro.parallel.procpool.ShmArray`) so worker processes fold
+against the shared bytes zero-copy.
 """
 
 from __future__ import annotations
@@ -74,18 +72,11 @@ class AdjacencyArena:
     def capacity(self) -> int:
         return self.keys.size
 
-    def has(self, v: int) -> bool:
-        """Whether *v* has an aggregated entry (dict engine's
-        ``adj[v] is not None``)."""
-        return self.length[v] != NOT_STORED
-
     # ------------------------------------------------------------------
     def reserve(self, count: int) -> int:
-        """Ensure *count* contiguous free slots; return their offset.
-
-        The caller fills ``keys[off:off+count]`` / ``ws[off:off+count]``
-        and then calls :meth:`commit`.
-        """
+        """Claim *count* contiguous slots past the cursor (growing the
+        pools if needed); return their offset.  The native sweep fills
+        them and writes ``offset``/``length`` itself."""
         self.grow(count)
         off = self._cursor
         self._cursor += count
@@ -106,11 +97,6 @@ class AdjacencyArena:
             self.keys = new_keys
             self.ws = new_ws
             self.grows += 1
-
-    def commit(self, v: int, off: int, count: int) -> None:
-        """Attach the filled slice ``[off, off+count)`` to vertex *v*."""
-        self.offset[v] = off
-        self.length[v] = count
 
     @classmethod
     def from_pools(
@@ -140,23 +126,6 @@ class AdjacencyArena:
         arena.length[:] = lengths
         arena._cursor = used
         return arena
-
-    def store(self, v: int, keys, ws) -> None:
-        """Reserve, fill and commit an entry for *v* in one call."""
-        keys = np.asarray(keys, dtype=np.int64)
-        count = keys.size
-        off = self.reserve(count)
-        self.keys[off : off + count] = keys
-        self.ws[off : off + count] = ws
-        self.commit(v, off, count)
-
-    def entry(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of *v*'s stored ``(keys, weights)`` slice."""
-        if self.length[v] == NOT_STORED:
-            raise KeyError(f"vertex {v} has no aggregated entry")
-        off = int(self.offset[v])
-        end = off + int(self.length[v])
-        return self.keys[off:end], self.ws[off:end]
 
     def entries(self):
         """Every vertex's ``(keys, ws)`` views, or ``None`` if it has no

@@ -20,7 +20,7 @@ import numpy as np
 from repro.community.dendrogram import NO_VERTEX, Dendrogram
 from repro.community.modularity import newman_degrees
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import require_symmetric
+from repro.graph.validate import check_weights, require_symmetric
 from repro.rabbit.common import RabbitStats
 
 __all__ = ["community_detection_eager"]
@@ -38,6 +38,7 @@ def community_detection_eager(
     the (larger) eager work.
     """
     require_symmetric(graph, "Rabbit Order (eager ablation)")
+    check_weights(graph)
     n = graph.num_vertices
     stats = RabbitStats()
     child = np.full(n, NO_VERTEX, dtype=np.int64)

@@ -6,8 +6,9 @@
 :class:`~repro.rabbit.common.AggregationState` are replaced by
 ``(offset, length)``-addressed slices of flat ``int64``/``float64``
 pools (the :mod:`repro.rabbit.arena` layout), and the heavy fold of
-Algorithm 4 becomes the concatenate–gather–``bincount`` kernel proven
-bit-identical to dict accumulation by :mod:`repro.rabbit.fastseq`.
+Algorithm 4 becomes a concatenate–gather–``bincount`` kernel
+(:func:`gather_community` + :func:`dedupe_first_encounter`), which the
+process-pool engine of :mod:`repro.rabbit.parproc` shares.
 
 Why a *sharded* arena
 ---------------------
@@ -39,10 +40,20 @@ the self-loop key excluded, and stores the entry (self-loop last)
 before any merge decision — so the yield/atomic-op sequence of the
 engine-neutral worker is unchanged and an interleave-scheduled run is
 bit-identical to the dict engine under the same seed.  Below
-``SCALAR_CUTOFF`` folded items the scalar dict-accumulation path is
+:data:`SCALAR_CUTOFF` folded items the scalar dict-accumulation path is
 used (numpy call overhead loses on small folds; see docs/PERF.md);
-above it, the vectorised kernel — both reproduce the dict engine's
-float semantics exactly (the :mod:`repro.rabbit.fastseq` argument).
+above it, the vectorised kernel.  Both reproduce the dict engine's
+float semantics exactly:
+
+* **Accumulation order.** The dict engine folds ``acc[v] += w`` in edge
+  encounter order.  ``np.bincount`` accumulates its weights with a
+  sequential C loop in input order, so per-key sums see the identical
+  addition sequence (``np.add.reduceat`` would not: ufunc reduction is
+  pairwise, which changes the last ulp).
+* **Tie-breaking.** The dict engine scans candidates in insertion
+  (first-encounter) order; :func:`dedupe_first_encounter` returns the
+  keys in that order, and the worker scores them as the dict engine
+  does.
 """
 
 from __future__ import annotations
@@ -53,9 +64,67 @@ from repro.community.dendrogram import NO_VERTEX
 from repro.graph.csr import CSRGraph
 from repro.rabbit.arena import NOT_STORED
 from repro.rabbit.common import RabbitStats
-from repro.rabbit.fastseq import SCALAR_CUTOFF, trace_dest_array
 
-__all__ = ["FlatAggregationState", "ShardedAdjacency", "dedupe_first_encounter"]
+__all__ = [
+    "FlatAggregationState",
+    "ShardedAdjacency",
+    "SCALAR_CUTOFF",
+    "dedupe_first_encounter",
+    "gather_community",
+    "trace_dest_array",
+]
+
+#: Folded-item count at or below which a parallel fold takes the scalar
+#: path (see docs/PERF.md for the sweep behind this number).
+SCALAR_CUTOFF: int = 192
+
+
+def trace_dest_array(dest: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`~repro.rabbit.common.trace_dest`: resolve every
+    endpoint in *t* to its community root, compressing the traced paths.
+
+    Iterates ``dest[dest[...]]`` until fixpoint (roots satisfy
+    ``dest[r] == r``), then rewrites ``dest[t]`` to point straight at the
+    roots.  Compression is stronger than the scalar helper's
+    grandparent-hopping but preserves the union-find invariant (every
+    link points at an ancestor), so resolution results are unchanged.
+    """
+    v = dest[t]
+    vv = dest[v]
+    while not np.array_equal(v, vv):
+        v = dest[vv]
+        vv = dest[v]
+    dest[t] = v
+    return v
+
+
+def gather_community(
+    graph: CSRGraph, u: int, entries
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw edges of *u*'s community, in the dict engine's encounter
+    order: *u*'s CSR row (a raw self-loop counted twice), then each
+    member's folded ``(keys, ws)`` slice in *entries*.  Returns the
+    unresolved endpoints and their weights."""
+    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    lo, hi = int(indptr[u]), int(indptr[u + 1])
+    t0 = indices[lo:hi]
+    self_mask = t0 == u
+    has_loop = bool(self_mask.any())
+    if weights is None:
+        w0 = np.ones(t0.size, dtype=np.float64)
+        if has_loop:
+            w0[self_mask] = 2.0  # doubled self-loop convention
+    else:
+        w0 = weights[lo:hi]
+        if has_loop:
+            w0 = w0.copy()
+            w0[self_mask] *= 2.0
+    key_parts = [t0]
+    w_parts = [w0]
+    for ks, vs in entries:
+        key_parts.append(ks)
+        w_parts.append(vs)
+    return np.concatenate(key_parts), np.concatenate(w_parts)
 
 
 def dedupe_first_encounter(
@@ -64,12 +133,11 @@ def dedupe_first_encounter(
     """Group resolved endpoints and sum weights, keys ordered by first
     encounter, with ``u``'s self-loop mass split out.
 
-    This is the :mod:`repro.rabbit.fastseq` dedup kernel: a stable
-    argsort groups equal keys, ``bincount`` accumulates the weights in
-    input order (i.e. dict-insertion order, so float addition order — and
-    hence every rounding step — matches the dict engine exactly), and the
-    groups are re-ranked by first encounter.  Returns ``(keys, sums,
-    loop)`` with ``u`` excluded from ``keys``.
+    A stable argsort groups equal keys, ``bincount`` accumulates the
+    weights in input order (i.e. dict-insertion order, so float addition
+    order — and hence every rounding step — matches the dict engine
+    exactly), and the groups are re-ranked by first encounter.  Returns
+    ``(keys, sums, loop)`` with ``u`` excluded from ``keys``.
     """
     order = np.argsort(v_all, kind="stable")
     sv = v_all[order]
@@ -264,7 +332,6 @@ class FlatAggregationState:
         "adj",
         "total_weight",
         "scalar_only",
-        "scalar_cutoff",
     )
 
     def __init__(
@@ -275,8 +342,6 @@ class FlatAggregationState:
         sibling: np.ndarray,
         adj: ShardedAdjacency,
         total_weight: float,
-        *,
-        scalar_cutoff: int | None = None,
     ):
         self.graph = graph
         self.dest = dest
@@ -285,14 +350,9 @@ class FlatAggregationState:
         self.adj = adj
         self.total_weight = total_weight
         self.scalar_only = False
-        self.scalar_cutoff = (
-            SCALAR_CUTOFF if scalar_cutoff is None else int(scalar_cutoff)
-        )
 
     @classmethod
-    def initialize(
-        cls, graph: CSRGraph, *, scalar_cutoff: int | None = None
-    ) -> "FlatAggregationState":
+    def initialize(cls, graph: CSRGraph) -> "FlatAggregationState":
         n = graph.num_vertices
         return cls(
             graph=graph,
@@ -301,7 +361,6 @@ class FlatAggregationState:
             sibling=np.full(n, NO_VERTEX, dtype=np.int64),
             adj=ShardedAdjacency(n),
             total_weight=graph.total_edge_weight(),
-            scalar_cutoff=scalar_cutoff,
         )
 
     # -- the fold ----------------------------------------------------------
@@ -335,7 +394,7 @@ class FlatAggregationState:
             members.append(c)
             total += int(length[c])
             c = int(sibling[c])
-        if self.scalar_only or total <= self.scalar_cutoff:
+        if self.scalar_only or total <= SCALAR_CUTOFF:
             pairs, keys, ws = self._fold_scalar(u, members)
         else:
             pairs, keys, ws = self._fold_vector(u, members)
@@ -405,34 +464,12 @@ class FlatAggregationState:
         return pairs, keys, ws
 
     def _fold_vector(self, u: int, members: list[int]):
-        """Vectorised fold: concatenate-gather, resolve, ``bincount``
-        dedup — bit-identical to the scalar path (fastseq lemma)."""
-        graph = self.graph
+        """Vectorised fold: gather, resolve with path compression,
+        ``bincount`` dedup — bit-identical to the scalar path."""
         adj = self.adj
-        indptr, indices, weights = graph.indptr, graph.indices, graph.weights
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        t0 = indices[lo:hi]
-        self_mask = t0 == u
-        has_loop = bool(self_mask.any())
-        if weights is None:
-            w0 = np.ones(t0.size, dtype=np.float64)
-            if has_loop:
-                w0[self_mask] = 2.0  # doubled self-loop convention
-        else:
-            w0 = weights[lo:hi]
-            if has_loop:
-                w0 = w0.copy()
-                w0[self_mask] *= 2.0
-        key_parts = [t0]
-        w_parts = [w0]
-        for s in members:
-            if s == u:
-                continue
-            ks, vs = adj.entry(s)
-            key_parts.append(ks)
-            w_parts.append(vs)
-        t_all = np.concatenate(key_parts)
-        w_all = np.concatenate(w_parts)
+        t_all, w_all = gather_community(
+            self.graph, u, (adj.entry(s) for s in members[1:])
+        )
         v_all = trace_dest_array(self.dest, t_all)
         nk, nw, loop = dedupe_first_encounter(v_all, w_all, u)
         pairs = list(zip(nk.tolist(), nw.tolist()))

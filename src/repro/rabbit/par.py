@@ -45,7 +45,7 @@ from repro.community.dendrogram import NO_VERTEX, Dendrogram
 from repro.community.modularity import newman_degrees
 from repro.errors import AuditError, ReproError
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import require_symmetric
+from repro.graph.validate import check_weights, require_symmetric
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.parallel.atomics import INVALID_DEGREE, AtomicPairArray, OpCounter
@@ -443,6 +443,7 @@ def community_detection_par(
             resume=resume,
         )
     require_symmetric(graph, "Rabbit Order")
+    check_weights(graph)
     n = graph.num_vertices
     if checkpoint is not None or resume is not None:
         if detect_races:

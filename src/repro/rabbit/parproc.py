@@ -13,7 +13,7 @@ oracle **by construction**:
   order, self-loop last) with a non-mutating ``dest`` trace.  Folds
   above ``SCALAR_CUTOFF`` items run the vectorised concatenate-gather +
   ``bincount`` kernel of :mod:`repro.rabbit.fastpar` (bit-identical to
-  the scalar accumulation; the fastseq lemma), in place over the shared
+  the scalar accumulation), in place over the shared
   ndarrays — no per-edge Python in the hot path.
 * Proposals return through a **shared-memory scratch** segment: the
   parent pre-computes a per-payload slice bound (CSR row plus stored
@@ -56,7 +56,7 @@ import numpy as np
 from repro.community.dendrogram import NO_VERTEX, Dendrogram
 from repro.community.modularity import newman_degrees
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import require_symmetric
+from repro.graph.validate import check_weights, require_symmetric
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.parallel.atomics import OpCounter
@@ -69,8 +69,11 @@ from repro.parallel.procpool import (
 from repro.rabbit.arena import NOT_STORED
 from repro.rabbit.audit import audit_dendrogram
 from repro.rabbit.common import RabbitStats
-from repro.rabbit.fastpar import dedupe_first_encounter
-from repro.rabbit.fastseq import SCALAR_CUTOFF
+from repro.rabbit.fastpar import (
+    SCALAR_CUTOFF,
+    dedupe_first_encounter,
+    gather_community,
+)
 from repro.rabbit.par import ParallelDetectionResult
 from repro.rabbit.seq import restore_stats, visit_order
 from repro.resilience.checkpoint import (
@@ -313,9 +316,10 @@ def _fold_vertex_arrays(
 
     Returns ``(keys, ws, loop, scanned)`` — keys/ws are lists (scalar
     path) or ndarrays (vector path); both orderings and every float
-    rounding step are bit-identical to the dict accumulation (the
-    :mod:`repro.rabbit.fastseq` lemma via
-    :func:`repro.rabbit.fastpar.dedupe_first_encounter`).
+    rounding step are bit-identical to the dict accumulation (see
+    :mod:`repro.rabbit.fastpar`).  The vector path gathers through
+    :func:`~repro.rabbit.fastpar.gather_community` and resolves with
+    the non-mutating :func:`_find_roots_array`.
     """
     u = int(u)
     indptr = graph.indptr
@@ -332,28 +336,12 @@ def _fold_vertex_arrays(
             keys_pool, ws_pool, u,
         )
         return list(acc.keys()), list(acc.values()), loop, scanned
-    lo, hi = int(indptr[u]), int(indptr[u + 1])
-    t0 = graph.indices[lo:hi]
-    self_mask = t0 == u
-    has_loop = bool(self_mask.any())
-    if graph.weights is None:
-        w0 = np.ones(t0.size, dtype=np.float64)
-        if has_loop:
-            w0[self_mask] = 2.0  # doubled self-loop convention
-    else:
-        w0 = graph.weights[lo:hi]
-        if has_loop:
-            w0 = w0.copy()
-            w0[self_mask] *= 2.0
-    key_parts = [t0]
-    w_parts = [w0]
+    entries = []
     for s in members[1:]:
         off = int(adj_offset[s])
         end = off + int(adj_length[s])
-        key_parts.append(keys_pool[off:end])
-        w_parts.append(ws_pool[off:end])
-    t_all = np.concatenate(key_parts)
-    w_all = np.concatenate(w_parts)
+        entries.append((keys_pool[off:end], ws_pool[off:end]))
+    t_all, w_all = gather_community(graph, u, entries)
     v_all = _find_roots_array(dest, t_all)
     nk, nw, loop = dedupe_first_encounter(v_all, w_all, u)
     return nk, nw, loop, total
@@ -477,6 +465,7 @@ def community_detection_procs(
     docstring), including across checkpoint/resume and worker loss.
     """
     require_symmetric(graph, "Rabbit Order")
+    check_weights(graph)
     n = graph.num_vertices
     registry = get_registry()
     if graph.total_edge_weight() <= 0.0:

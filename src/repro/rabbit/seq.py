@@ -21,7 +21,8 @@ import numpy as np
 from repro.community.dendrogram import Dendrogram
 from repro.community.modularity import newman_degrees
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import require_symmetric
+from repro.graph.validate import check_weights, require_symmetric
+from repro.native import load_kernel
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.rabbit.common import AggregationState, RabbitStats, aggregate_vertex
@@ -90,11 +91,15 @@ def community_detection_seq(
     visit_rng:
         seed for ``visit="random"``.
     engine:
-        ``"fast"`` (default) runs the vectorised flat-array engine
-        (:mod:`repro.rabbit.fastseq`); ``"dict"`` runs the reference
-        per-edge dict implementation below.  Both produce bit-identical
-        dendrograms and stats — the dict engine is kept as the readable
-        oracle the equivalence suite checks the fast engine against.
+        ``"fast"`` (default) runs the C sweep of
+        :mod:`repro.rabbit.fastseq` when :func:`~repro.native.load_kernel`
+        provides the native library, and the per-edge dict
+        implementation below when it does not; ``"dict"`` always runs
+        the dict implementation.  Both produce bit-identical dendrograms
+        and stats — the dict engine is the readable oracle the
+        equivalence suite checks the C sweep against.  The
+        ``rabbit.seq.runs.native`` / ``rabbit.seq.runs.dict`` counters
+        record which sweep ran.
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` or
         :class:`~repro.resilience.checkpoint.Checkpointer`: snapshot the
@@ -108,7 +113,14 @@ def community_detection_seq(
     -------
     (dendrogram, stats)
     """
-    if engine == "fast":
+    if engine not in ("fast", "dict"):
+        raise ValueError(f"engine must be 'fast' or 'dict', got {engine!r}")
+    require_symmetric(graph, "Rabbit Order")
+    check_weights(graph)
+    native = engine == "fast" and load_kernel() is not None
+    sweep = "native" if native else "dict"
+    get_registry().counter(f"rabbit.seq.runs.{sweep}").inc()
+    if native:
         from repro.rabbit.fastseq import community_detection_fastseq
 
         return community_detection_fastseq(
@@ -120,12 +132,9 @@ def community_detection_seq(
             checkpoint=checkpoint,
             resume=resume,
         )
-    if engine != "dict":
-        raise ValueError(f"engine must be 'fast' or 'dict', got {engine!r}")
-    require_symmetric(graph, "Rabbit Order")
     ckpt = as_checkpointer(checkpoint)
     n = graph.num_vertices
-    with span("rabbit.seq.setup", n=n):
+    with span("rabbit.seq.setup", n=n, engine="dict"):
         state = AggregationState.initialize(graph)
         stats = RabbitStats()
         if collect_vertex_work:
@@ -180,7 +189,7 @@ def community_detection_seq(
     sibling = state.sibling
     # One span brackets the whole aggregation sweep (never per vertex:
     # the disabled-tracer hot path must stay free).
-    with span("rabbit.seq.aggregate", n=n):
+    with span("rabbit.seq.aggregate", n=n, engine="dict"):
         for i in range(start, n):
             u = int(order[i])
             heartbeat()

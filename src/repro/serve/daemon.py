@@ -481,7 +481,7 @@ class ReorderServer:
             "inflight": len(self._inflight),
             "active_requests": self._active_requests,
             "cache": self.cache.stats(),
-            # rabbit.seq.runs.{native,fast}: which sequential sweep ran
+            # rabbit.seq.runs.{native,dict}: which sequential sweep ran
             # when a request fell back off the parallel rung.
             "counters": {
                 **self._metrics.counter_values("serve."),

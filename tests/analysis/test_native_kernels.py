@@ -22,6 +22,7 @@ from repro.analysis import (
     spmv_naive,
     strongly_connected_components,
 )
+from repro.errors import GraphFormatError
 from repro.graph import CSRGraph
 
 needs_library = pytest.mark.skipif(
@@ -170,22 +171,39 @@ class TestSCC:
 
 @needs_library
 class TestIterativeSolvers:
-    """PageRank and RWR reach the kernel through ``spmv`` only.  Scores
-    compare NaN-equal: a subnormal degree overflows ``1 / deg`` and both
-    paths then give the same NaNs."""
+    """PageRank and RWR reach the kernel through ``spmv`` only.  Both
+    paths give the same scores exactly, or reject the graph with the
+    same error (a degree whose reciprocal overflows)."""
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())
     def test_pagerank_equals_fallback(self, graph):
-        got = pagerank(graph)
-        want = without_library(pagerank, graph)
-        assert got.iterations == want.iterations
-        assert np.array_equal(got.scores, want.scores, equal_nan=True)
+        assert_same_outcome(
+            outcome(pagerank, graph), without_library(outcome, pagerank, graph)
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(graphs().filter(lambda g: g.num_vertices > 0))
     def test_rwr_equals_fallback(self, graph):
-        got = random_walk_with_restart(graph, 0)
-        want = without_library(random_walk_with_restart, graph, 0)
-        assert got.iterations == want.iterations
-        assert np.array_equal(got.scores, want.scores, equal_nan=True)
+        fn = random_walk_with_restart
+        assert_same_outcome(
+            outcome(fn, graph, 0), without_library(outcome, fn, graph, 0)
+        )
+
+
+def outcome(fn, *args):
+    """A solver's ``(iterations, scores)``, or its rejection message."""
+    try:
+        result = fn(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+    return result.iterations, result.scores
+
+
+def assert_same_outcome(got, want) -> None:
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])

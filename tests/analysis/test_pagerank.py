@@ -25,6 +25,12 @@ class TestPageRank:
         with pytest.raises(GraphFormatError, match="must be finite"):
             pagerank(weighted_path([1.0, bad]))
 
+    def test_subnormal_degree_rejected(self):
+        """1/5e-324 overflows; before the check the scores came back NaN."""
+        g = CSRGraph(indptr=[0, 2, 2], indices=[0, 1], weights=[0.0, 5e-324])
+        with pytest.raises(GraphFormatError, match="reciprocal overflows"):
+            pagerank(g)
+
     def test_scores_sum_to_one(self, paper_graph):
         res = pagerank(paper_graph)
         assert res.scores.sum() == pytest.approx(1.0)

@@ -21,6 +21,11 @@ class TestRWR:
         with pytest.raises(GraphFormatError, match="must be finite"):
             random_walk_with_restart(g, 0)
 
+    def test_subnormal_degree_rejected(self):
+        g = CSRGraph(indptr=[0, 2, 2], indices=[0, 1], weights=[0.0, 5e-324])
+        with pytest.raises(GraphFormatError, match="reciprocal overflows"):
+            random_walk_with_restart(g, 0)
+
     def test_scores_sum_to_one(self, paper_graph):
         res = random_walk_with_restart(paper_graph, 0)
         assert res.scores.sum() == pytest.approx(1.0)

@@ -1,21 +1,21 @@
-"""Fast-engine ⇔ dict-engine equivalence: the flat-array aggregation
-engine must be *bit-identical* to the reference implementation — same
-dendrogram links, same stats, same permutation — not merely an
-equivalent clustering.  These tests are the contract that lets
-``engine="fast"`` be the default everywhere.
+"""Fast-engine ⇔ dict-engine equivalence: the C sweep behind
+``engine="fast"`` must be *bit-identical* to the reference
+implementation — same dendrogram links, same stats, same permutation —
+not merely an equivalent clustering.  These tests are the contract that
+lets ``engine="fast"`` be the default everywhere.
 
-``engine="fast"`` has two sweeps: the C kernel (when it builds) and the
-Python loop.  Every case runs both against the dict oracle; the Python
-loop is reached by switching the kernel loader off.
+Without the native library ``engine="fast"`` runs the dict engine; the
+native rows skip there, and the fallback tests reach that path by
+patching ``repro.native._kernel`` to ``None``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
+from repro import native
+from repro.errors import ReproError
 from repro.graph import CSRGraph
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -27,15 +27,11 @@ from repro.graph.generators import (
 from repro.obs.metrics import get_registry
 from repro.rabbit import fastseq, rabbit_order
 from repro.rabbit.arena import AdjacencyArena
-from repro.rabbit.fastseq import SCALAR_CUTOFF, community_detection_fastseq
-from repro.native import load_kernel
+from repro.rabbit.fastpar import SCALAR_CUTOFF
 from repro.rabbit.seq import community_detection_seq
 from tests.conftest import GRAPH_ZOO, make_paper_graph
 
 SEEDS = list(range(10))
-
-#: Cutoff regimes: all-vector, mixed, all-scalar, tuned default.
-CUTOFFS = [-1, 4, 1 << 30, None]
 
 
 def reweighted(graph: CSRGraph, seed: int) -> CSRGraph:
@@ -47,20 +43,16 @@ def reweighted(graph: CSRGraph, seed: int) -> CSRGraph:
     return CSRGraph.from_edges(src[keep], dst[keep], weights=w, symmetrize=True)
 
 
-#: Whether the C kernel built here; without it the native rows skip.
-NATIVE = load_kernel() is not None
+#: Whether the C library loaded here; without it the native rows skip.
+NATIVE = native.load_kernel() is not None
+
+needs_native = pytest.mark.skipif(
+    not NATIVE, reason="no working C compiler here"
+)
 
 
-@contextmanager
-def python_loop():
-    """Run ``engine="fast"`` on its Python loop (kernel loader off)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastseq, "load_kernel", lambda: None)
-        yield
-
-
-def native_runs() -> float:
-    return get_registry().counter("rabbit.seq.runs.native").value
+def runs(sweep: str) -> float:
+    return get_registry().counter(f"rabbit.seq.runs.{sweep}").value
 
 
 def assert_same_result(ref, got, ctx: str) -> None:
@@ -78,29 +70,21 @@ def assert_same_result(ref, got, ctx: str) -> None:
         assert np.array_equal(ref_stats.vertex_work, stats.vertex_work), ctx
 
 
-def assert_engines_identical(graph: CSRGraph, cutoffs=CUTOFFS, **kwargs):
-    """The native sweep (with and without per-vertex work) and the
-    Python loop at every cutoff regime all match the dict oracle."""
+def assert_engines_identical(graph: CSRGraph, **kwargs):
+    """The native sweep, with and without per-vertex work, matches the
+    dict oracle (and ticks the native counter once per run)."""
+    if not NATIVE:
+        pytest.skip("no working C compiler here")
     for work in (True, False):
         ref = community_detection_seq(
             graph, engine="dict", collect_vertex_work=work, **kwargs
         )
-        if NATIVE:
-            before = native_runs()
-            got = community_detection_fastseq(
-                graph, collect_vertex_work=work, **kwargs
-            )
-            assert native_runs() == before + (graph.total_edge_weight() > 0)
-            assert_same_result(ref, got, f"native, collect_vertex_work={work}")
-        if not work:
-            continue
-        with python_loop():
-            for cutoff in cutoffs:
-                got = community_detection_fastseq(
-                    graph, collect_vertex_work=True, scalar_cutoff=cutoff,
-                    **kwargs,
-                )
-                assert_same_result(ref, got, f"python, scalar_cutoff={cutoff}")
+        before = runs("native")
+        got = community_detection_seq(
+            graph, engine="fast", collect_vertex_work=work, **kwargs
+        )
+        assert runs("native") == before + 1
+        assert_same_result(ref, got, f"native, collect_vertex_work={work}")
 
 
 class TestGeneratorEquivalence:
@@ -137,7 +121,7 @@ class TestEdgeCases:
 
     def test_edgeless_stats(self):
         g = CSRGraph.empty(7)
-        dend, stats = community_detection_fastseq(g, collect_vertex_work=True)
+        dend, stats = community_detection_seq(g, collect_vertex_work=True)
         assert stats.toplevels == 7
         assert stats.merges == 0
         assert np.array_equal(dend.toplevel, np.arange(7))
@@ -167,7 +151,7 @@ class TestEdgeCases:
     def test_rejects_unknown_visit(self):
         g = GRAPH_ZOO["triangle"]
         with pytest.raises(ValueError, match="visit"):
-            community_detection_fastseq(g, visit="bogus")
+            community_detection_seq(g, visit="bogus")
 
 
 class TestNativeDriver:
@@ -183,17 +167,17 @@ class TestNativeDriver:
         monkeypatch.setattr(fastseq, "AdjacencyArena", TinyArena)
         monkeypatch.setattr(fastseq, "NATIVE_CHUNK", 7)
         g = reweighted(rmat_graph(7, edge_factor=6, rng=seed), 200 + seed)
-        assert_engines_identical(g, cutoffs=[-1, None])
+        assert_engines_identical(g)
 
+    @needs_native
     def test_heartbeat_units_cover_every_vertex(self, monkeypatch):
         beats = []
         monkeypatch.setattr(fastseq, "NATIVE_CHUNK", 10)
         monkeypatch.setattr(fastseq, "heartbeat", lambda units=1: beats.append(units))
         g = rmat_graph(6, edge_factor=4, rng=1)
-        community_detection_fastseq(g)
+        community_detection_seq(g)
         assert sum(beats) == g.num_vertices
-        if NATIVE:
-            assert len(beats) == -(-g.num_vertices // 10)
+        assert len(beats) == -(-g.num_vertices // 10)
 
 
 class TestPermutationEquivalence:
@@ -211,12 +195,28 @@ class TestPermutationEquivalence:
         assert np.array_equal(default.permutation, explicit.permutation)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_python_loop_permutation(self, seed):
+    def test_fallback_permutation(self, seed, monkeypatch):
+        """With the library off, ``engine="fast"`` runs the dict engine:
+        its bits, and the dict counter ticks."""
         g = rmat_graph(7, edge_factor=6, rng=seed)
-        with python_loop():
-            fast = rabbit_order(g, engine="fast")
-        ref = rabbit_order(g, engine="dict")
-        assert np.array_equal(fast.permutation, ref.permutation)
+        ref = community_detection_seq(
+            g, engine="dict", collect_vertex_work=True
+        )
+        ref_perm = rabbit_order(g, engine="dict").permutation
+        monkeypatch.setattr(native, "_kernel", None)
+        before = runs("dict"), runs("native")
+        got = community_detection_seq(
+            g, engine="fast", collect_vertex_work=True
+        )
+        assert (runs("dict"), runs("native")) == (before[0] + 1, before[1])
+        assert_same_result(ref, got, "fallback")
+        fast = rabbit_order(g, engine="fast")
+        assert np.array_equal(fast.permutation, ref_perm)
+
+    def test_fastseq_needs_the_library(self, monkeypatch):
+        monkeypatch.setattr(native, "_kernel", None)
+        with pytest.raises(ReproError, match="native library"):
+            fastseq.community_detection_fastseq(GRAPH_ZOO["triangle"])
 
     def test_unknown_engine_rejected(self, paper_graph):
         with pytest.raises(ValueError, match="engine"):
@@ -224,31 +224,35 @@ class TestPermutationEquivalence:
 
 
 class TestArena:
-    def test_store_and_entry_roundtrip(self):
-        arena = AdjacencyArena(4, capacity=4)
-        arena.store(2, [7, 9, 2], [1.5, 2.5, 4.0])
-        keys, ws = arena.entry(2)
-        assert keys.tolist() == [7, 9, 2]
-        assert ws.tolist() == [1.5, 2.5, 4.0]
-        assert arena.has(2)
-        assert not arena.has(0)
-
-    def test_missing_entry_raises(self):
-        arena = AdjacencyArena(3)
-        with pytest.raises(KeyError):
-            arena.entry(1)
+    def test_from_pools_roundtrip(self):
+        """Pools in the checkpoint wire format come back entry by entry."""
+        arena = AdjacencyArena.from_pools(
+            np.array([0, 0, 3, 0]),
+            np.array([3, -1, 2, -1]),
+            np.array([7, 9, 0, 5, 2]),
+            np.array([1.5, 2.5, 4.0, 0.5, 1.0]),
+            extra_capacity=4,
+        )
+        entries = list(arena.entries())
+        assert entries[1] is None and entries[3] is None
+        assert entries[0][0].tolist() == [7, 9, 0]
+        assert entries[0][1].tolist() == [1.5, 2.5, 4.0]
+        assert entries[2][0].tolist() == [5, 2]
+        assert arena.used == 5
+        assert arena.capacity >= 9
 
     def test_geometric_growth_preserves_entries(self):
         arena = AdjacencyArena(8, capacity=4)
-        arena.store(0, [1, 2], [1.0, 2.0])
-        arena.store(1, list(range(50)), [float(i) for i in range(50)])
+        off = arena.reserve(2)
+        arena.keys[off : off + 2] = [1, 2]
+        arena.ws[off : off + 2] = [1.0, 2.0]
+        arena.length[0] = 2
+        arena.grow(50)
         assert arena.grows >= 1
-        assert arena.capacity >= arena.used
-        keys, ws = arena.entry(0)  # survived the regrowth copy
+        assert arena.capacity >= arena.used + 50
+        keys, ws = next(arena.entries())  # survived the regrowth copy
         assert keys.tolist() == [1, 2]
         assert ws.tolist() == [1.0, 2.0]
-        keys1, _ = arena.entry(1)
-        assert keys1.tolist() == list(range(50))
 
     def test_reserve_is_append_only(self):
         arena = AdjacencyArena(2, capacity=16)

@@ -17,7 +17,7 @@ from repro import native
 from repro.graph.generators import rmat_graph
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.rabbit import fastseq, rabbit_order
+from repro.rabbit import rabbit_order
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -53,7 +53,8 @@ needs_compiler = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def fallback() -> dict[str, list]:
-    """The script's answers from the Python and numpy fallbacks."""
+    """The script's answers from the fallbacks: the dict engine for the
+    permutation, numpy and Python loops for the analyses."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(native, "_kernel", None)
         namespace: dict = {}
@@ -176,14 +177,14 @@ class TestObservability:
         assert sweep.start >= build.end
 
     def test_span_and_counter_name_the_path(self, monkeypatch):
-        monkeypatch.setattr(fastseq, "load_kernel", lambda: None)
+        monkeypatch.setattr(native, "_kernel", None)
         registry = get_registry()
-        before = registry.counter("rabbit.seq.runs.fast").value
+        before = registry.counter("rabbit.seq.runs.dict").value
         with trace.capture() as cap:
             rabbit_order(rmat_graph(6, edge_factor=4, rng=2))
         (sweep,) = cap.find("rabbit.seq.aggregate")
-        assert sweep.attrs["engine"] == "fast"
-        assert registry.counter("rabbit.seq.runs.fast").value == before + 1
+        assert sweep.attrs["engine"] == "dict"
+        assert registry.counter("rabbit.seq.runs.dict").value == before + 1
 
     @needs_compiler
     def test_cli_verbose_shows_the_kernel(self, tmp_path, capsys):

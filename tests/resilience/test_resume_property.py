@@ -5,8 +5,8 @@ permutation of the uninterrupted run."""
 import numpy as np
 import pytest
 
+from repro import native
 from repro.graph.generators import erdos_renyi_graph
-from repro.rabbit import fastseq
 from repro.rabbit.order import rabbit_order
 from repro.rabbit.par import community_detection_par
 from repro.rabbit.seq import community_detection_seq
@@ -20,15 +20,15 @@ SEEDS = range(10)
 
 
 #: The sequential sweeps: the dict oracle, ``engine="fast"`` as it runs
-#: by default (the C kernel when it builds), and ``engine="fast"`` on its
-#: Python loop (kernel loader switched off).
-SWEEPS = ("dict", "fast", "python")
+#: by default (the C sweep when the library loads), and ``engine="fast"``
+#: with the library switched off (its dict fallback).
+SWEEPS = ("dict", "fast", "fallback")
 
 
 def seq_perm(graph, *, engine, checkpoint=None, resume=None):
     with pytest.MonkeyPatch.context() as mp:
-        if engine == "python":
-            mp.setattr(fastseq, "load_kernel", lambda: None)
+        if engine == "fallback":
+            mp.setattr(native, "_kernel", None)
             engine = "fast"
         dendrogram, _ = community_detection_seq(
             graph, engine=engine, checkpoint=checkpoint, resume=resume

@@ -182,10 +182,10 @@ class TestAnalyzeAndStatus:
             assert status["cache"]["memory_entries"] == 1
             assert status["counters"]["serve.compute.runs"] >= 1.0
             # The default ladder computes on fastseq, and the reply says
-            # which sequential sweep (C kernel or Python loop) ran.
+            # which sequential sweep (C kernel or dict fallback) ran.
             sweeps = [
                 status["counters"].get(f"rabbit.seq.runs.{engine}", 0.0)
-                for engine in ("native", "fast")
+                for engine in ("native", "dict")
             ]
             assert sum(sweeps) >= 1.0
 
